@@ -215,11 +215,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: numeric overflow, an input is out of range ({exc})", file=sys.stderr)
         return 2
 
 

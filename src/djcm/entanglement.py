@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .linalg import dag, hermitian_eig, principal_sqrt, validate_density_matrix
+from .linalg import dag, hermitian_eig, validate_density_matrix
 from .states import PairState
 
 __all__ = [

@@ -1,17 +1,15 @@
 """Closed-form propagation of the two-partition (9x9) density matrix.
 
 The two partitions never interact, so the joint map is the tensor product
-of the single-partition entry-wise maps. Rather than assembling an 81x81
-superoperator at runtime, the map is written out as a static table: one
-line per upper-triangle entry of the 9x9 matrix, each line listing the
-(A coefficient, B coefficient, source entry) products that feed it. The
-table is what one obtains by expanding the tensor product by hand; the
-test suite re-derives it mechanically from the single-partition map and
-compares term by term, so a transcription slip cannot survive.
+of the two single-partition maps: with T_A and T_B the (3,3,3,3) transfer
+tensors of `propagator.transfer_tensor`, the pair state is
+
+    R'[(a,b), (c,d)] = sum T_A[a,c,m,o] T_B[b,d,n,q] R[(m,n), (o,q)],
+
+one einsum over the 9x9 state viewed as a (3,3,3,3) array.
 
 Basis ordering is A-major: index 3*i + j holds (A level i, B level j)
-with levels ordered (|+>, |->, |0g>) per partition. The lower triangle is
-never computed independently; it is filled by conjugation.
+with levels ordered (|+>, |->, |0g>) per partition.
 """
 
 from __future__ import annotations
@@ -21,132 +19,13 @@ import warnings
 import numpy as np
 
 from .linalg import validate_density_matrix
-from .propagator import JcmParams, PropagatorCoeffs, coefficients
+from .propagator import JcmParams, transfer_tensor
 
 __all__ = [
-    "PAIR_RULES",
     "propagate_pair",
     "identical_partitions",
     "min_eigenvalue",
 ]
-
-_COEFF_NAMES = (
-    "a11", "a12", "a13", "a21", "a22", "a23", "a31", "a32",
-    "a33_11", "a33_22", "a33_33",
-)
-
-# One entry per diagonal and upper-triangle element (1-based indices).
-# PAIR_RULES[(i, j)] is a tuple of (A coefficient name, B coefficient
-# name, (k, l)) triples meaning: entry (i,j) at time t is the sum of
-# A_name * B_name * R_kl(0). Entries that only scale themselves have a
-# single triple with (k, l) == (i, j); entries of the decayed levels
-# additionally collect feeding terms from the populations or coherences
-# above them.
-PAIR_RULES: dict[tuple[int, int], tuple[tuple[str, str, tuple[int, int]], ...]] = {
-    # diagonal
-    (1, 1): (("a11", "a11", (1, 1)),),
-    (2, 2): (("a11", "a22", (2, 2)),),
-    (3, 3): (
-        ("a11", "a33_11", (1, 1)),
-        ("a11", "a33_22", (2, 2)),
-        ("a11", "a33_33", (3, 3)),
-    ),
-    (4, 4): (("a22", "a11", (4, 4)),),
-    (5, 5): (("a22", "a22", (5, 5)),),
-    (6, 6): (
-        ("a22", "a33_11", (4, 4)),
-        ("a22", "a33_22", (5, 5)),
-        ("a22", "a33_33", (6, 6)),
-    ),
-    (7, 7): (
-        ("a33_11", "a11", (1, 1)),
-        ("a33_22", "a11", (4, 4)),
-        ("a33_33", "a11", (7, 7)),
-    ),
-    (8, 8): (
-        ("a33_11", "a22", (2, 2)),
-        ("a33_22", "a22", (5, 5)),
-        ("a33_33", "a22", (8, 8)),
-    ),
-    (9, 9): (
-        ("a33_11", "a33_11", (1, 1)),
-        ("a33_11", "a33_22", (2, 2)),
-        ("a33_11", "a33_33", (3, 3)),
-        ("a33_22", "a33_11", (4, 4)),
-        ("a33_22", "a33_22", (5, 5)),
-        ("a33_22", "a33_33", (6, 6)),
-        ("a33_33", "a33_11", (7, 7)),
-        ("a33_33", "a33_22", (8, 8)),
-        ("a33_33", "a33_33", (9, 9)),
-    ),
-    # first row block: A stays on level +, B runs over its entries
-    (1, 2): (("a11", "a12", (1, 2)),),
-    (1, 3): (("a11", "a13", (1, 3)),),
-    (1, 4): (("a12", "a11", (1, 4)),),
-    (1, 5): (("a12", "a12", (1, 5)),),
-    (1, 6): (("a12", "a13", (1, 6)),),
-    (1, 7): (("a13", "a11", (1, 7)),),
-    (1, 8): (("a13", "a12", (1, 8)),),
-    (1, 9): (("a13", "a13", (1, 9)),),
-    (2, 3): (("a11", "a23", (2, 3)),),
-    (2, 4): (("a12", "a21", (2, 4)),),
-    (2, 5): (("a12", "a22", (2, 5)),),
-    (2, 6): (("a12", "a23", (2, 6)),),
-    (2, 7): (("a13", "a21", (2, 7)),),
-    (2, 8): (("a13", "a22", (2, 8)),),
-    (2, 9): (("a13", "a23", (2, 9)),),
-    (3, 4): (("a12", "a31", (3, 4)),),
-    (3, 5): (("a12", "a32", (3, 5)),),
-    (3, 6): (
-        ("a12", "a33_11", (1, 4)),
-        ("a12", "a33_22", (2, 5)),
-        ("a12", "a33_33", (3, 6)),
-    ),
-    (3, 7): (("a13", "a31", (3, 7)),),
-    (3, 8): (("a13", "a32", (3, 8)),),
-    (3, 9): (
-        ("a13", "a33_11", (1, 7)),
-        ("a13", "a33_22", (2, 8)),
-        ("a13", "a33_33", (3, 9)),
-    ),
-    (4, 5): (("a22", "a12", (4, 5)),),
-    (4, 6): (("a22", "a13", (4, 6)),),
-    (4, 7): (("a23", "a11", (4, 7)),),
-    (4, 8): (("a23", "a12", (4, 8)),),
-    (4, 9): (("a23", "a13", (4, 9)),),
-    (5, 6): (("a22", "a23", (5, 6)),),
-    (5, 7): (("a23", "a21", (5, 7)),),
-    (5, 8): (("a23", "a22", (5, 8)),),
-    (5, 9): (("a23", "a23", (5, 9)),),
-    (6, 7): (("a23", "a31", (6, 7)),),
-    (6, 8): (("a23", "a32", (6, 8)),),
-    (6, 9): (
-        ("a23", "a33_11", (4, 7)),
-        ("a23", "a33_22", (5, 8)),
-        ("a23", "a33_33", (6, 9)),
-    ),
-    (7, 8): (
-        ("a33_11", "a12", (1, 2)),
-        ("a33_22", "a12", (4, 5)),
-        ("a33_33", "a12", (7, 8)),
-    ),
-    (7, 9): (
-        ("a33_11", "a13", (1, 3)),
-        ("a33_22", "a13", (4, 6)),
-        ("a33_33", "a13", (7, 9)),
-    ),
-    (8, 9): (
-        ("a33_11", "a23", (2, 3)),
-        ("a33_22", "a23", (5, 6)),
-        ("a33_33", "a23", (8, 9)),
-    ),
-}
-
-assert len(PAIR_RULES) == 45  # 9 diagonal + 36 upper-triangle entries
-
-
-def _coeff_values(c: PropagatorCoeffs) -> dict[str, complex]:
-    return {name: getattr(c, name) for name in _COEFF_NAMES}
 
 
 def propagate_pair(
@@ -166,22 +45,18 @@ def propagate_pair(
     clamping would corrupt downstream entanglement values.
     """
     r0 = validate_density_matrix(r0, 9, name="r0")
-    ca = _coeff_values(coefficients(p_a, t))
-    cb = _coeff_values(coefficients(p_b, t))
-    out = np.empty((9, 9), dtype=complex)
-    for (i, j), terms in PAIR_RULES.items():
-        acc = 0.0 + 0.0j
-        for name_a, name_b, (k, l) in terms:
-            acc += ca[name_a] * cb[name_b] * r0[k - 1, l - 1]
-        out[i - 1, j - 1] = acc
-        if i != j:
-            out[j - 1, i - 1] = acc.conjugate()
+    out = np.einsum(
+        "acmo,bdnq,mnoq->abcd",
+        transfer_tensor(p_a, t),
+        transfer_tensor(p_b, t),
+        r0.reshape(3, 3, 3, 3),
+    ).reshape(9, 9)
 
     drift = abs(out.trace() - r0.trace())
-    if drift > 1e-12:
+    if not drift <= 1e-12:
         raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
     defect = float(np.abs(out - out.conj().T).max())
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
     if check_positivity:
         low = min_eigenvalue(out)

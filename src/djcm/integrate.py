@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import kron, validate_density_matrix
+from .linalg import validate_density_matrix
 from .propagator import JcmParams, decay_rate_minus, decay_rate_plus
 
 __all__ = [
@@ -125,10 +125,10 @@ def _pair_generator(p_a: JcmParams, p_b: JcmParams):
     eye = np.eye(3, dtype=complex)
 
     def lift_a(m: np.ndarray) -> np.ndarray:
-        return kron(m, eye)
+        return np.kron(m, eye)
 
     def lift_b(m: np.ndarray) -> np.ndarray:
-        return kron(eye, m)
+        return np.kron(eye, m)
 
     h3_a = np.diag([0.5 * p_a.omega0 + p_a.omega, 0.5 * p_a.omega0 - p_a.omega, -0.5 * p_a.omega0])
     h3_b = np.diag([0.5 * p_b.omega0 + p_b.omega, 0.5 * p_b.omega0 - p_b.omega, -0.5 * p_b.omega0])

@@ -14,8 +14,6 @@ __all__ = [
     "hermiticity_defect",
     "validate_density_matrix",
     "hermitian_eig",
-    "principal_sqrt",
-    "kron",
     "partial_trace_qubits",
 ]
 
@@ -51,10 +49,10 @@ def validate_density_matrix(
     if rho.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if not defect <= herm_tol:
         raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
     tr = rho.trace()
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise ValueError(f"{name} must have unit trace, got {tr:.12g}")
     return rho
 
@@ -71,7 +69,7 @@ def hermitian_eig(m: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, n
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     diff = np.abs(m - m.conj().T)
     defect = float(diff.max())
-    if defect > herm_tol:
+    if not defect <= herm_tol:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
         raise ValueError(
             f"matrix is not Hermitian: entry ({i},{j}) differs from its "
@@ -79,26 +77,6 @@ def hermitian_eig(m: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, n
         )
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def principal_sqrt(m: np.ndarray, neg_tol: float = 1e-10) -> np.ndarray:
-    """Principal square root of a Hermitian positive-semidefinite matrix.
-
-    Eigenvalues in [-neg_tol, 0) are treated as rounding noise and clipped
-    to zero; anything more negative raises ValueError.
-    """
-    w, v = hermitian_eig(m)
-    if w[-1] < -neg_tol:
-        raise ValueError(
-            f"matrix is not positive semidefinite (eigenvalue {w[-1]:.3e})"
-        )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return root
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor most significant (big-endian)."""
-    return np.kron(a, b)
 
 
 def partial_trace_qubits(m: np.ndarray, total_qubits: int, keep: tuple[int, ...]) -> np.ndarray:

@@ -23,8 +23,10 @@ explicit entry-wise function of the two accumulated exponents
 
     I_plus(t) = integral of rate_plus,   I_minus(t) = integral of rate_minus.
 
-`coefficients` evaluates the nine independent entries of that entry-wise
-map; `propagate_single` applies them to a 3x3 dressed-basis state.
+`coefficients` evaluates the independent entries of that entry-wise map,
+`transfer_tensor` assembles them into the map itself, and
+`propagate_single` applies it to a 3x3 dressed-basis state. The pair map
+in `evolution` is the tensor product of two such maps.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "integrated_rate_minus",
     "integrated_rate_plus",
     "coefficients",
+    "transfer_tensor",
     "propagate_single",
 ]
 
@@ -66,6 +69,10 @@ class JcmParams:
     lam: float
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "omega", "gamma0", "lam"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.gamma0 <= 0.0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if self.lam <= 0.0:
@@ -82,8 +89,8 @@ class JcmParams:
 
 
 def _check_time(t: float) -> None:
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t}")
 
 
 def decay_rate_minus(p: JcmParams, t: float) -> float:
@@ -132,9 +139,10 @@ class PropagatorCoeffs:
         rho'_33 = rho_33 + a33_11 rho_11 + a33_22 rho_22
         rho'_23 = a23 rho_23
 
-    with the lower triangle fixed by Hermiticity (a21, a31, a32). The
-    diagonal feed coefficients satisfy a33_11 = 1 - a11 and
-    a33_22 = 1 - a22, which is exactly trace preservation; a33_33 = 1.
+    with the lower triangle fixed by Hermiticity. The diagonal feed
+    coefficients satisfy a33_11 = 1 - a11 and a33_22 = 1 - a22, which is
+    exactly trace preservation. `transfer_tensor` turns these numbers into
+    the full map, conjugate entries included.
     """
 
     t: float
@@ -145,19 +153,6 @@ class PropagatorCoeffs:
     a23: complex
     a33_11: float
     a33_22: float
-    a33_33: float = 1.0
-
-    @property
-    def a21(self) -> complex:
-        return self.a12.conjugate()
-
-    @property
-    def a31(self) -> complex:
-        return self.a13.conjugate()
-
-    @property
-    def a32(self) -> complex:
-        return self.a23.conjugate()
 
 
 def coefficients(p: JcmParams, t: float) -> PropagatorCoeffs:
@@ -191,18 +186,28 @@ def coefficients(p: JcmParams, t: float) -> PropagatorCoeffs:
     )
 
 
+def transfer_tensor(p: JcmParams, t: float) -> np.ndarray:
+    """Single-partition map at time t as a (3,3,3,3) tensor.
+
+    rho'[i, j] = sum over k, l of T[i, j, k, l] rho[k, l]. Every entry of
+    the map is written here, the conjugate coherence factors of the lower
+    triangle included; the ground population keeps weight 1 and collects
+    what the dressed populations lose.
+    """
+    c = coefficients(p, t)
+    tensor = np.zeros((3, 3, 3, 3), dtype=complex)
+    tensor[0, 0, 0, 0] = c.a11
+    tensor[1, 1, 1, 1] = c.a22
+    tensor[2, 2, 0, 0] = c.a33_11
+    tensor[2, 2, 1, 1] = c.a33_22
+    tensor[2, 2, 2, 2] = 1.0
+    for (i, j), a in (((0, 1), c.a12), ((0, 2), c.a13), ((1, 2), c.a23)):
+        tensor[i, j, i, j] = a
+        tensor[j, i, j, i] = a.conjugate()
+    return tensor
+
+
 def propagate_single(rho0: np.ndarray, p: JcmParams, t: float) -> np.ndarray:
     """Propagate a 3x3 dressed-basis state from 0 to t in closed form."""
     rho0 = validate_density_matrix(rho0, 3, name="rho0")
-    c = coefficients(p, t)
-    out = np.empty((3, 3), dtype=complex)
-    out[0, 0] = c.a11 * rho0[0, 0]
-    out[1, 1] = c.a22 * rho0[1, 1]
-    out[2, 2] = rho0[2, 2] + c.a33_11 * rho0[0, 0] + c.a33_22 * rho0[1, 1]
-    out[0, 1] = c.a12 * rho0[0, 1]
-    out[0, 2] = c.a13 * rho0[0, 2]
-    out[1, 2] = c.a23 * rho0[1, 2]
-    out[1, 0] = out[0, 1].conjugate()
-    out[2, 0] = out[0, 2].conjugate()
-    out[2, 1] = out[1, 2].conjugate()
-    return out
+    return np.einsum("ijkl,kl->ij", transfer_tensor(p, t), rho0)

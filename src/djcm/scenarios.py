@@ -79,8 +79,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.purity <= 1.0:
             raise ValueError(f"purity must lie in [0,1], got {self.purity}")
-        if self.t_max <= 0.0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.output not in ("csv", "json"):

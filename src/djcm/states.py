@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from . import bases
-from .linalg import kron, partial_trace_qubits, validate_density_matrix
+from .linalg import partial_trace_qubits, validate_density_matrix
 
 __all__ = [
     "ReductionTarget",
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 # 9x9 dressing transform, one 3x3 factor per partition.
-_W = kron(bases.DRESSED_FROM_STANDARD, bases.DRESSED_FROM_STANDARD)
+_W = np.kron(bases.DRESSED_FROM_STANDARD, bases.DRESSED_FROM_STANDARD)
 _W_DAG = _W.conj().T
 _EMBED = np.array(bases.EMBED_16)
 

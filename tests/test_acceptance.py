@@ -64,7 +64,6 @@ from djcm.integrate import (
     oracle_config,
     rate_from_spectral_density,
 )
-from djcm.linalg import kron
 from djcm.propagator import (
     JcmParams,
     decay_rate_minus,
@@ -471,7 +470,7 @@ def test_criterion_11_property_bundle():
             a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             q, rr = np.linalg.qr(a)
             qs.append(q * (np.diagonal(rr) / np.abs(np.diagonal(rr))))
-        u = kron(qs[0], qs[1])
+        u = np.kron(qs[0], qs[1])
         if abs(concurrence(u @ rho @ u.conj().T) - base) > 1e-9:
             failures.append("concurrence changed under a local unitary")
             break

@@ -20,7 +20,6 @@ from djcm.entanglement import (
     steady_pair_local,
     steady_pair_nonlocal,
 )
-from djcm.linalg import kron
 
 
 def _bell(which: str = "phi+") -> np.ndarray:
@@ -67,7 +66,7 @@ def test_product_states_carry_nothing():
         b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        rho = kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        rho = np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
         # sqrt of near-zero eigenvalues costs half the precision
         assert concurrence(rho) < 1e-8
     assert concurrence(np.eye(4, dtype=complex) / 4.0) == 0.0
@@ -108,7 +107,7 @@ def test_local_unitary_invariance():
     for _ in range(10):
         rho = _random_x_state(rng)
         base = concurrence(rho)
-        u = kron(_random_unitary(rng), _random_unitary(rng))
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
         rotated = u @ rho @ u.conj().T
         assert concurrence(rotated) == pytest.approx(base, abs=1e-9)
 

@@ -1,63 +1,40 @@
-"""Audit of the 45-entry pair-propagation table and the map built on it.
+"""Checks of the pair propagation map built on the single-partition maps.
 
-The load-bearing test here re-derives the table mechanically: the joint
-map must be the tensor product of two copies of the single-partition
-entry-wise map, so expanding that product term by term has to reproduce
-the static table exactly, coefficient names and source indices included.
-A numeric comparison on random states backs the symbolic one.
+The load-bearing test feeds the pair map every product of nine 3x3
+density matrices that span the 3x3 operators. By linearity those 81
+inputs fix the whole 9x9 map, so agreeing with the Kronecker product of
+two independent `propagate_single` calls on each of them proves the map
+is the tensor product of the two single-partition maps.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from djcm.evolution import (
-    PAIR_RULES,
     identical_partitions,
     min_eigenvalue,
     propagate_pair,
 )
-from djcm.linalg import kron
-from djcm.propagator import JcmParams, coefficients, propagate_single
+from djcm.propagator import JcmParams, propagate_single
 from djcm.states import initial_state
 
 P_MARKOV = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
 P_MEMORY = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=0.05)
 P_STIFF = JcmParams(omega0=0.0, omega=50.0, gamma0=1.0, lam=5.0)
 
-# single-partition entry-wise map, 1-based level indices
-_SINGLE_RULES = {
-    (1, 1): (("a11", (1, 1)),),
-    (2, 2): (("a22", (2, 2)),),
-    (3, 3): (("a33_11", (1, 1)), ("a33_22", (2, 2)), ("a33_33", (3, 3))),
-    (1, 2): (("a12", (1, 2)),),
-    (1, 3): (("a13", (1, 3)),),
-    (2, 3): (("a23", (2, 3)),),
-    (2, 1): (("a21", (2, 1)),),
-    (3, 1): (("a31", (3, 1)),),
-    (3, 2): (("a32", (3, 2)),),
-}
 
-
-def _derive_pair_rules():
-    """Expand the tensor product of two single-partition maps."""
-    derived = {}
-    for ia in range(1, 4):
-        for ja in range(1, 4):
-            for ib in range(1, 4):
-                for jb in range(1, 4):
-                    row = 3 * (ia - 1) + ib
-                    col = 3 * (ja - 1) + jb
-                    if col < row:
-                        continue  # table stores diagonal + upper triangle
-                    terms = []
-                    for name_a, (ka, la) in _SINGLE_RULES[(ia, ja)]:
-                        for name_b, (kb, lb) in _SINGLE_RULES[(ib, jb)]:
-                            src = (3 * (ka - 1) + kb, 3 * (la - 1) + lb)
-                            terms.append((name_a, name_b, src))
-                    derived[(row, col)] = frozenset(terms)
-    return derived
+def _spanning_states():
+    """|k><k| and the projectors onto (|k> + |l>)/sqrt2 and (|k> + i|l>)/sqrt2."""
+    basis = np.eye(3, dtype=complex)
+    vectors = list(basis)
+    for k, l in ((0, 1), (0, 2), (1, 2)):
+        vectors.append((basis[k] + basis[l]) / math.sqrt(2.0))
+        vectors.append((basis[k] + 1j * basis[l]) / math.sqrt(2.0))
+    return [np.outer(v, v.conj()) for v in vectors]
 
 
 def _random_state(rng, dim=9):
@@ -66,36 +43,23 @@ def _random_state(rng, dim=9):
     return rho / rho.trace()
 
 
-def test_table_matches_tensor_product_expansion():
-    derived = _derive_pair_rules()
-    assert set(PAIR_RULES) == set(derived)
-    for key, terms in PAIR_RULES.items():
-        terms = frozenset(terms)
-        assert len(terms) == len(PAIR_RULES[key])  # no duplicate triples
-        assert terms == derived[key], f"entry {key} disagrees with the expansion"
-
-
-def test_table_action_matches_tensor_product_numerically():
-    rng = np.random.default_rng(7)
-    derived = _derive_pair_rules()
+def test_pair_map_is_tensor_product_on_spanning_set():
+    states = _spanning_states()
+    flat = np.array([sigma.ravel() for sigma in states])
+    assert np.linalg.matrix_rank(flat) == 9  # the nine span all 3x3 operators
     for p_a, p_b, t in (
-        (P_MARKOV, P_MARKOV, 0.8),
-        (P_MEMORY, P_MARKOV, 2.3),
-        (P_STIFF, P_MEMORY, 0.31),
+        (P_MARKOV, P_MEMORY, 0.8),
+        (P_MEMORY, P_STIFF, 2.3),
+        (P_STIFF, P_MARKOV, 0.31),
     ):
-        ca = coefficients(p_a, t)
-        cb = coefficients(p_b, t)
-        r0 = _random_state(rng)
-        expected = np.zeros((9, 9), dtype=complex)
-        for (i, j), terms in derived.items():
-            acc = 0.0 + 0.0j
-            for name_a, name_b, (k, l) in terms:
-                acc += getattr(ca, name_a) * getattr(cb, name_b) * r0[k - 1, l - 1]
-            expected[i - 1, j - 1] = acc
-            if i != j:
-                expected[j - 1, i - 1] = acc.conjugate()
-        got = propagate_pair(r0, p_a, p_b, t)
-        assert np.abs(got - expected).max() < 1e-14
+        for sigma_a in states:
+            for sigma_b in states:
+                got = propagate_pair(np.kron(sigma_a, sigma_b), p_a, p_b, t)
+                expected = np.kron(
+                    propagate_single(sigma_a, p_a, t),
+                    propagate_single(sigma_b, p_b, t),
+                )
+                assert np.abs(got - expected).max() < 1e-14
 
 
 def test_identity_at_t0():
@@ -146,21 +110,24 @@ def test_partition_exchange_symmetry():
         assert np.abs(lhs - rhs).max() < 1e-14
 
 
-def test_product_states_factorize():
+_PARAMS = st.builds(
+    JcmParams,
+    omega0=st.floats(0.0, 10.0),
+    omega=st.floats(0.0, 50.0),
+    gamma0=st.floats(0.1, 5.0),
+    lam=st.floats(0.01, 50.0),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(p_a=_PARAMS, p_b=_PARAMS, t=st.floats(0.0, 50.0))
+def test_product_states_factorize(p_a, p_b, t):
     rng = np.random.default_rng(41)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho_a = a @ a.conj().T
-    rho_a /= rho_a.trace()
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    rho_b = b @ b.conj().T
-    rho_b /= rho_b.trace()
-    for t in (0.5, 3.0):
-        joint = propagate_pair(kron(rho_a, rho_b), P_MARKOV, P_MEMORY, t)
-        split = kron(
-            propagate_single(rho_a, P_MARKOV, t),
-            propagate_single(rho_b, P_MEMORY, t),
-        )
-        assert np.abs(joint - split).max() < 1e-14
+    rho_a = _random_state(rng, 3)
+    rho_b = _random_state(rng, 3)
+    joint = propagate_pair(np.kron(rho_a, rho_b), p_a, p_b, t)
+    split = np.kron(propagate_single(rho_a, p_a, t), propagate_single(rho_b, p_b, t))
+    assert np.abs(joint - split).max() < 1e-14
 
 
 def test_ground_population_monotone_in_markovian_regime():
@@ -193,7 +160,10 @@ def test_rejects_invalid_input():
     with pytest.raises(ValueError):
         propagate_pair(non_hermitian, P_MARKOV, P_MARKOV, 1.0)
     with pytest.raises(ValueError):
-        propagate_pair(np.eye(9) / 9.0, P_MARKOV, P_MARKOV, -0.5)
+        propagate_pair(np.full((9, 9), np.nan), P_MARKOV, P_MARKOV, 1.0)
+    for t in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            propagate_pair(np.eye(9) / 9.0, P_MARKOV, P_MARKOV, t)
 
 
 def test_min_eigenvalue():

@@ -22,7 +22,6 @@ from djcm.integrate import (
     oracle_config,
     rate_from_spectral_density,
 )
-from djcm.linalg import kron
 from djcm.propagator import (
     JcmParams,
     decay_rate_minus,
@@ -136,11 +135,11 @@ def test_pair_integration_factorizes_for_product_states():
     rho_b = b @ b.conj().T
     rho_b /= rho_b.trace()
     cfg = oracle_config(3.0, 31, P, P_MEMORY)
-    joint = integrate_pair(kron(rho_a, rho_b), P, P_MEMORY, cfg)
+    joint = integrate_pair(np.kron(rho_a, rho_b), P, P_MEMORY, cfg)
     left = integrate_single(rho_a, P, cfg)
     right = integrate_single(rho_b, P_MEMORY, cfg)
     for js, ls, rs in zip(joint.states, left.states, right.states):
-        assert np.abs(js - kron(ls, rs)).max() < 1e-8
+        assert np.abs(js - np.kron(ls, rs)).max() < 1e-8
 
 
 def test_trajectory_bookkeeping():

@@ -86,6 +86,8 @@ def test_scenario_config_validation():
         _small_cfg(purity=1.5)
     with pytest.raises(ValueError):
         _small_cfg(t_max=0.0)
+    with pytest.raises(ValueError, match="t_max"):
+        _small_cfg(t_max=math.inf)
     with pytest.raises(ValueError):
         _small_cfg(samples=1)
     with pytest.raises(ValueError):
@@ -316,6 +318,25 @@ def test_cli_evolve_errors(capsys, tmp_path):
     # nonexistent config file
     assert main(["evolve", "--config", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--omega", "nan", "omega"),
+        ("--lambda", "inf", "lam"),
+        ("--omega0", "nan", "omega0"),
+        ("--tmax", "inf", "t_max"),
+        ("--omega", "1e300", "overflow"),
+    ],
+)
+def test_cli_evolve_rejects_out_of_range_numbers(capsys, flag, value, field):
+    argv = ["evolve", "--omega", "1", "--lambda", "5", "--r", "1", "--tmax", "2", "--samples", "3"]
+    assert main(argv + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err
 
 
 def test_cli_figure(tmp_path, capsys):

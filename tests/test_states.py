@@ -13,7 +13,7 @@ import pytest
 
 from djcm import bases
 from djcm.evolution import propagate_pair
-from djcm.linalg import kron, partial_trace_qubits
+from djcm.linalg import partial_trace_qubits
 from djcm.propagator import JcmParams
 from djcm.states import (
     PairState,
@@ -80,7 +80,7 @@ def test_initial_state_against_independent_construction():
     phi_vec = (np.kron(one, zero) + np.kron(zero, one)) / np.sqrt(2.0)
     for r in (0.0, 0.5, 1.0):
         rho_cav = r * np.outer(phi_vec, phi_vec.conj()) + (1.0 - r) / 4.0 * np.eye(4)
-        big = kron(rho_cav, kron(atom_g, atom_g)).reshape([2] * 8)
+        big = np.kron(rho_cav, np.kron(atom_g, atom_g)).reshape([2] * 8)
         big = big.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
         via_package = embed_standard_16(dressed_to_standard(initial_state(r)))
         assert np.abs(big - via_package).max() < 1e-14
@@ -194,5 +194,7 @@ def test_reduction_consistency_with_manual_trace():
 def test_pair_state_validation():
     with pytest.raises(ValueError):
         PairState(matrix=np.eye(4, dtype=complex), labels=("A", "B"))  # trace 4
+    with pytest.raises(ValueError):
+        PairState(matrix=np.full((4, 4), np.nan, dtype=complex), labels=("A", "B"))
     ok = PairState(matrix=np.eye(4, dtype=complex) / 4.0, labels=("A", "B"))
     assert ok.basis == ("11", "10", "01", "00")
