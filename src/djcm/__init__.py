@@ -16,7 +16,7 @@ from .entanglement import (
     steady_pair_local,
     steady_pair_nonlocal,
 )
-from .evolution import identical_partitions, propagate_pair
+from .evolution import identical_partitions, propagate_pair, propagate_pairs
 from .integrate import (
     IntegratorConfig,
     Trajectory,
@@ -41,7 +41,7 @@ from .scenarios import (
     transient_entanglement_threshold,
     validation_report,
 )
-from .states import PairState, ReductionTarget, initial_state, reduce, reduce_all
+from .states import PairState, ReductionTarget, initial_state, reduce, reduce_all, reduce_stack
 
 __version__ = "0.1.0"
 
@@ -55,10 +55,12 @@ __all__ = [
     "integrated_rate_plus",
     "propagate_single",
     "propagate_pair",
+    "propagate_pairs",
     "identical_partitions",
     "initial_state",
     "reduce",
     "reduce_all",
+    "reduce_stack",
     "ReductionTarget",
     "PairState",
     "concurrence",

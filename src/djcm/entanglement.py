@@ -11,11 +11,15 @@ sqrt(rho) rho_tilde sqrt(rho) instead, which has the same spectrum and
 keeps the whole computation inside real symmetric eigensolvers.
 
 For X-structured states (support on diagonal plus anti-diagonal only,
-which covers every reduction this model produces) the closed form
+which covers every reduction this model produces) the closed form of
+Yu and Eberly,
 
-    C = 2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33))
+    C = 2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)),
 
-serves as an independent cross-check.
+is exact. `concurrence_x_state` evaluates it on whole stacks of states
+and is the route the trajectory pipeline uses; the spectral
+`concurrence` works for any state and is kept as the independent
+checker (tests, and the route comparison in the validation report).
 
 The module also builds the quasi-steady reduced states reached once the
 short-lived dressed branch has decayed while the long-lived one has not:
@@ -30,7 +34,7 @@ import math
 
 import numpy as np
 
-from .linalg import dag, hermitian_eig, validate_density_matrix
+from .linalg import dag, hermitian_eig, validate_density_matrix, validate_density_stack
 from .states import PairState
 
 __all__ = [
@@ -46,6 +50,9 @@ __all__ = [
 _SPIN_FLIP = np.zeros((4, 4))
 _SPIN_FLIP[0, 3] = _SPIN_FLIP[3, 0] = -1.0
 _SPIN_FLIP[1, 2] = _SPIN_FLIP[2, 1] = 1.0
+
+# Entries an X-structured state may carry: the diagonal and the anti-diagonal.
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
 # Smallest cavity purity for which the cross-partition quasi-steady state
 # is entangled: the positive root of 63 r^2 + 50 r - 49 = 0.
@@ -77,27 +84,42 @@ def concurrence(p: PairState | np.ndarray) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def concurrence_x_state(p: PairState | np.ndarray) -> float:
-    """Closed-form concurrence for X-structured states (independent of concurrence()).
+def concurrence_x_state(p: PairState | np.ndarray) -> float | np.ndarray:
+    """Closed-form concurrence of X-structured states (independent of concurrence()).
 
-    Raises ValueError when the state carries weight outside the diagonal
-    and anti-diagonal; use the general routine for those.
+    Takes one state (a PairState or a 4x4 array) and returns a float, or
+    a (..., 4, 4) stack and returns an array of shape (...). Raises
+    ValueError, naming the worst entry, when any state carries weight
+    outside the diagonal and anti-diagonal (use the general routine for
+    those), and, like concurrence(), when a state has an eigenvalue
+    below -1e-8.
     """
-    rho = _as_matrix(p)
-    off = rho.copy()
-    for i in range(4):
-        off[i, i] = 0.0
-        off[i, 3 - i] = 0.0
-    worst = float(np.abs(off).max())
-    if worst > 1e-10:
+    m = p.matrix if isinstance(p, PairState) else p
+    rho = validate_density_stack(m, 4, name="pair state")
+    stray = np.where(_X_PATTERN, 0.0, np.abs(rho))
+    k = np.unravel_index(int(np.argmax(stray)), stray.shape)
+    if not stray[k] <= 1e-10:
+        label = "state" if rho.ndim == 2 else f"state[{', '.join(map(str, k[:-2]))}]"
         raise ValueError(
-            f"state is not X-structured (stray entry {worst:.3e}); "
-            "use concurrence() instead"
+            f"{label} is not X-structured (stray entry {stray[k]:.3e} at "
+            f"({k[-2]}, {k[-1]})); use concurrence() instead"
         )
-    d = np.clip(rho.diagonal().real, 0.0, None)
-    inner = abs(rho[1, 2]) - math.sqrt(d[0] * d[3])
-    outer = abs(rho[0, 3]) - math.sqrt(d[1] * d[2])
-    return 2.0 * max(0.0, inner, outer)
+    d = rho.diagonal(axis1=-2, axis2=-1).real
+    inner_c, outer_c = np.abs(rho[..., 1, 2]), np.abs(rho[..., 0, 3])
+    # the two 2x2 blocks {|10>,|01>} and {|11>,|00>} carry the spectrum
+    low = np.minimum(
+        0.5 * (d[..., 1] + d[..., 2]) - np.hypot(0.5 * (d[..., 1] - d[..., 2]), inner_c),
+        0.5 * (d[..., 0] + d[..., 3]) - np.hypot(0.5 * (d[..., 0] - d[..., 3]), outer_c),
+    )
+    if not low.min() >= -1e-8:
+        raise ValueError(f"state has eigenvalue {low.min():.3e}, not a density matrix")
+    d = np.clip(d, 0.0, None)
+    best = np.maximum(
+        inner_c - np.sqrt(d[..., 0] * d[..., 3]),
+        outer_c - np.sqrt(d[..., 1] * d[..., 2]),
+    )
+    c = np.where(best > 0.0, 2.0 * best, 0.0)
+    return float(c) if rho.ndim == 2 else c
 
 
 def steady_pair_nonlocal(r: float, labels: tuple[str, str] = ("A", "B")) -> PairState:

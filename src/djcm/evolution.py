@@ -6,7 +6,8 @@ tensors of `propagator.transfer_tensor`, the pair state is
 
     R'[(a,b), (c,d)] = sum T_A[a,c,m,o] T_B[b,d,n,q] R[(m,n), (o,q)],
 
-one einsum over the 9x9 state viewed as a (3,3,3,3) array.
+evaluated for a whole array of times at once as two batched 9x9 matrix
+products, one per partition.
 
 Basis ordering is A-major: index 3*i + j holds (A level i, B level j)
 with levels ordered (|+>, |->, |0g>) per partition.
@@ -23,9 +24,59 @@ from .propagator import JcmParams, transfer_tensor
 
 __all__ = [
     "propagate_pair",
+    "propagate_pairs",
     "identical_partitions",
     "min_eigenvalue",
 ]
+
+
+def propagate_pairs(
+    r0: np.ndarray,
+    p_a: JcmParams,
+    p_b: JcmParams,
+    times: np.ndarray,
+    *,
+    check_positivity: bool = False,
+) -> np.ndarray:
+    """Propagate a 9x9 dressed-basis two-partition state to each of T times.
+
+    Returns the (T,9,9) stack of states. The partitions may carry
+    different parameters. Trace and Hermiticity drift are checked on
+    every state of the stack. With check_positivity=True the smallest
+    eigenvalue of each state is inspected and one warning is emitted if
+    any falls below -1e-8: the second-order master equation is not
+    guaranteed completely positive, and silently clamping would corrupt
+    downstream entanglement values.
+    """
+    r0 = validate_density_matrix(r0, 9, name="r0")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
+    # Partition A's map acts on the (m, o) indices of R, B's on (n, q):
+    # R as a 9x9 matrix over (m o), (n q), then out[(a c), (b d)] = T_A R T_B^T.
+    ta = transfer_tensor(p_a, times).reshape(-1, 9, 9)
+    tb = transfer_tensor(p_b, times).reshape(-1, 9, 9)
+    r = r0.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
+    out = ta @ (r @ tb.transpose(0, 2, 1))
+    out = out.reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).reshape(-1, 9, 9)
+
+    drift = np.abs(np.trace(out, axis1=1, axis2=2) - r0.trace()).max(initial=0.0)
+    if not drift <= 1e-12:
+        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
+    defect = np.abs(out - out.conj().transpose(0, 2, 1)).max(initial=0.0)
+    if not defect <= 1e-10:
+        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
+    if check_positivity and len(times):
+        low = min_eigenvalue(out)
+        worst = int(low.argmin())
+        if low[worst] < -1e-8:
+            warnings.warn(
+                f"state eigenvalue {low[worst]:.3e} below -1e-8 at t={times[worst]:g} "
+                "(second-order master equation is not completely positive)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return out
 
 
 def propagate_pair(
@@ -38,36 +89,9 @@ def propagate_pair(
 ) -> np.ndarray:
     """Propagate a 9x9 dressed-basis two-partition state from 0 to t.
 
-    The partitions may carry different parameters. With
-    check_positivity=True the smallest eigenvalue of the result is
-    inspected and a warning is emitted below -1e-8: the second-order
-    master equation is not guaranteed completely positive, and silently
-    clamping would corrupt downstream entanglement values.
+    The one-time case of `propagate_pairs`, with the same checks.
     """
-    r0 = validate_density_matrix(r0, 9, name="r0")
-    out = np.einsum(
-        "acmo,bdnq,mnoq->abcd",
-        transfer_tensor(p_a, t),
-        transfer_tensor(p_b, t),
-        r0.reshape(3, 3, 3, 3),
-    ).reshape(9, 9)
-
-    drift = abs(out.trace() - r0.trace())
-    if not drift <= 1e-12:
-        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
-    defect = float(np.abs(out - out.conj().T).max())
-    if not defect <= 1e-10:
-        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
-    if check_positivity:
-        low = min_eigenvalue(out)
-        if low < -1e-8:
-            warnings.warn(
-                f"state eigenvalue {low:.3e} below -1e-8 at t={t:g} "
-                "(second-order master equation is not completely positive)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return out
+    return propagate_pairs(r0, p_a, p_b, np.array([t]), check_positivity=check_positivity)[0]
 
 
 def identical_partitions(p_a: JcmParams, p_b: JcmParams, rtol: float = 1e-12) -> bool:
@@ -83,6 +107,11 @@ def identical_partitions(p_a: JcmParams, p_b: JcmParams, rtol: float = 1e-12) ->
     )
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (positivity diagnostic)."""
-    return float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+def min_eigenvalue(rho: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of a Hermitian matrix (positivity diagnostic).
+
+    For a (..., n, n) stack, the array of each matrix's smallest eigenvalue.
+    """
+    rho = np.asarray(rho)
+    low = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)[..., 0]
+    return float(low) if rho.ndim == 2 else low

@@ -1,8 +1,9 @@
 """Small dense linear-algebra helpers shared by the rest of the package.
 
-Everything here operates on plain complex numpy arrays. Dimensions never
-exceed 16x16, so no attention is paid to cache behaviour or workspace
-reuse; clarity and strict input checking win.
+Everything here operates on plain complex numpy arrays. Matrices are at
+most 16x16. Where a helper accepts a stack of them (shape (..., n, n)),
+the caller bounds the stack's size; the trajectory pipeline passes one
+chunk of its time grid at a time. Clarity and strict input checking win.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import numpy as np
 
 __all__ = [
     "dag",
-    "hermiticity_defect",
     "validate_density_matrix",
+    "validate_density_stack",
     "hermitian_eig",
     "partial_trace_qubits",
 ]
@@ -23,11 +24,6 @@ _QUBIT_DIM = 2
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entry-wise deviation of m from its own conjugate transpose."""
-    return float(np.abs(m - m.conj().T).max())
 
 
 def validate_density_matrix(
@@ -42,18 +38,47 @@ def validate_density_matrix(
 
     Positivity is deliberately not enforced here: several callers work with
     states carrying harmless O(1e-12) negative eigenvalues from rounding,
-    and the one place that genuinely needs positive semidefiniteness
-    (the concurrence) checks it itself.
+    and the places that genuinely need positive semidefiniteness (the
+    concurrence routines) check it themselves.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
-    if not defect <= herm_tol:
-        raise ValueError(f"{name} is not Hermitian (defect {defect:.3e})")
-    tr = rho.trace()
-    if not abs(tr - 1.0) <= trace_tol:
-        raise ValueError(f"{name} must have unit trace, got {tr:.12g}")
+    return validate_density_stack(rho, dim, name=name, herm_tol=herm_tol, trace_tol=trace_tol)
+
+
+def validate_density_stack(
+    rho: np.ndarray,
+    dim: int,
+    *,
+    name: str = "state",
+    herm_tol: float = 1e-10,
+    trace_tol: float = 1e-10,
+) -> np.ndarray:
+    """`validate_density_matrix` for a stack of shape (..., dim, dim).
+
+    Every matrix of the stack is checked; an error names the worst one
+    by its stack index.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2:] != (dim, dim):
+        raise ValueError(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
+    if rho.size == 0:
+        return rho
+
+    def worst(per_matrix: np.ndarray) -> tuple[tuple, str]:
+        # index of the largest value (NaN counts as largest) and its label
+        k = np.unravel_index(int(np.argmax(per_matrix)), per_matrix.shape)
+        return k, name if rho.ndim == 2 else f"{name}[{', '.join(map(str, k))}]"
+
+    defect = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    k, label = worst(defect)
+    if not defect[k] <= herm_tol:
+        raise ValueError(f"{label} is not Hermitian (defect {defect[k]:.3e})")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    k, label = worst(np.abs(tr - 1.0))
+    if not abs(tr[k] - 1.0) <= trace_tol:
+        raise ValueError(f"{label} must have unit trace, got {tr[k]:.12g}")
     return rho
 
 
@@ -85,11 +110,12 @@ def partial_trace_qubits(m: np.ndarray, total_qubits: int, keep: tuple[int, ...]
     Qubit 0 is the most significant factor of the 2**n-dimensional index.
     The order of `keep` is the order of the factors in the output, so
     keep=(2, 0) returns an operator whose first (most significant) qubit
-    is qubit 2 of the input.
+    is qubit 2 of the input. Leading axes of m, if any, are a stack of
+    operators traced one by one.
     """
     dim = _QUBIT_DIM**total_qubits
     m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
+    if m.shape[-2:] != (dim, dim):
         raise ValueError(
             f"operator shape {m.shape} does not match {total_qubits} qubits"
         )
@@ -102,11 +128,12 @@ def partial_trace_qubits(m: np.ndarray, total_qubits: int, keep: tuple[int, ...]
             raise ValueError(f"qubit index {q} out of range for {total_qubits} qubits")
 
     # Axes 0..n-1 are row factors, n..2n-1 the matching column factors.
-    tensor = m.reshape((_QUBIT_DIM,) * (2 * total_qubits))
+    stack = m.shape[:-2]
+    tensor = m.reshape(stack + (_QUBIT_DIM,) * (2 * total_qubits))
     letters = "abcdefghijklmnop"
     row = list(letters[:total_qubits])
     col = [letters[total_qubits + q] if q in keep else row[q] for q in range(total_qubits)]
     out = "".join(row[q] for q in keep) + "".join(col[q] for q in keep)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, tensor)
+    reduced = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, tensor)
     d = _QUBIT_DIM ** len(keep)
-    return reduced.reshape(d, d)
+    return reduced.reshape(stack + (d, d))

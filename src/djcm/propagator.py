@@ -26,12 +26,13 @@ explicit entry-wise function of the two accumulated exponents
 `coefficients` evaluates the independent entries of that entry-wise map,
 `transfer_tensor` assembles them into the map itself, and
 `propagate_single` applies it to a 3x3 dressed-basis state. The pair map
-in `evolution` is the tensor product of two such maps.
+in `evolution` is the tensor product of two such maps. Each of these
+takes one time or a numpy array of times; an array adds a leading axis
+to the result, so a whole time grid is evaluated in one call.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -88,49 +89,70 @@ class JcmParams:
         return self.lam > 2.0 * self.gamma0
 
 
-def _check_time(t: float) -> None:
+def _lib(t: float | np.ndarray):
+    """Check that t is finite and non-negative; return the library to evaluate it with.
+
+    `math` for a scalar t, `numpy` for an array of times: both spell exp,
+    expm1, sin and cos alike, so every formula below is written once.
+    The scalar path keeps the RK4 oracle, which asks for one rate at a
+    time, at math-module speed.
+    """
+    if isinstance(t, np.ndarray):
+        ok = (t >= 0.0) & (t < math.inf)
+        if not ok.all():
+            raise ValueError(f"time must be finite and non-negative, got {t[~ok].flat[0]}")
+        return np
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and non-negative, got {t}")
+    return math
 
 
-def decay_rate_minus(p: JcmParams, t: float) -> float:
-    """Decay rate of the lower dressed level (reservoir seen on resonance)."""
-    _check_time(t)
-    return p.gamma0 * (1.0 - math.exp(-p.lam * t))
+def decay_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
+    """Decay rate of the lower dressed level (reservoir seen on resonance).
+
+    Like every rate and exponent here, t may be a float or a numpy array
+    of times; the result has the shape of t.
+    """
+    lib = _lib(t)
+    return -p.gamma0 * lib.expm1(-p.lam * t)
 
 
-def decay_rate_plus(p: JcmParams, t: float) -> float:
+def decay_rate_plus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
     """Decay rate of the upper dressed level (reservoir detuned by 2*omega)."""
-    _check_time(t)
+    lib = _lib(t)
     lam, om = p.lam, p.omega
     pref = p.gamma0 * lam**2 / (4.0 * om**2 + lam**2)
-    osc = (2.0 * om / lam) * math.sin(2.0 * om * t) - math.cos(2.0 * om * t)
-    return pref * (1.0 + osc * math.exp(-lam * t))
+    osc = (2.0 * om / lam) * lib.sin(2.0 * om * t) - lib.cos(2.0 * om * t)
+    return pref * (1.0 + osc * lib.exp(-lam * t))
 
 
-def integrated_rate_minus(p: JcmParams, t: float) -> float:
-    """Integral of decay_rate_minus from 0 to t."""
-    _check_time(t)
-    return p.gamma0 * t + (p.gamma0 / p.lam) * (math.exp(-p.lam * t) - 1.0)
+def integrated_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
+    """Integral of decay_rate_minus from 0 to t.
+
+    expm1 keeps the digits when lam*t is tiny: there the exponent is
+    about gamma0*lam*t^2/2, and exp(-lam*t) - 1 would cancel to rounding.
+    """
+    lib = _lib(t)
+    return p.gamma0 * t + (p.gamma0 / p.lam) * lib.expm1(-p.lam * t)
 
 
-def integrated_rate_plus(p: JcmParams, t: float) -> float:
+def integrated_rate_plus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
     """Integral of decay_rate_plus from 0 to t."""
-    _check_time(t)
+    lib = _lib(t)
     lam, om = p.lam, p.omega
     denom = 4.0 * om**2 + lam**2
-    decay = math.exp(-lam * t)
+    decay = lib.exp(-lam * t)
     bracket = (
         t
-        - 4.0 * om * decay * math.sin(2.0 * om * t) / denom
-        + (lam**2 - 4.0 * om**2) * (decay * math.cos(2.0 * om * t) - 1.0) / (lam * denom)
+        - 4.0 * om * decay * lib.sin(2.0 * om * t) / denom
+        + (lam**2 - 4.0 * om**2) * (decay * lib.cos(2.0 * om * t) - 1.0) / (lam * denom)
     )
     return p.gamma0 * lam**2 / denom * bracket
 
 
 @dataclass(frozen=True)
 class PropagatorCoeffs:
-    """Entry-wise propagation coefficients of one partition at a fixed time.
+    """Entry-wise propagation coefficients of one partition.
 
     In the dressed-basis ordering (|+>, |->, |0g>) the propagated state is
 
@@ -142,21 +164,23 @@ class PropagatorCoeffs:
     with the lower triangle fixed by Hermiticity. The diagonal feed
     coefficients satisfy a33_11 = 1 - a11 and a33_22 = 1 - a22, which is
     exactly trace preservation. `transfer_tensor` turns these numbers into
-    the full map, conjugate entries included.
+    the full map, conjugate entries included. Every field has the shape
+    of the time `t` it was evaluated at: scalars for one time, arrays for
+    a time array.
     """
 
-    t: float
-    a11: float
-    a12: complex
-    a13: complex
-    a22: float
-    a23: complex
-    a33_11: float
-    a33_22: float
+    t: float | np.ndarray
+    a11: float | np.ndarray
+    a12: complex | np.ndarray
+    a13: complex | np.ndarray
+    a22: float | np.ndarray
+    a23: complex | np.ndarray
+    a33_11: float | np.ndarray
+    a33_22: float | np.ndarray
 
 
-def coefficients(p: JcmParams, t: float) -> PropagatorCoeffs:
-    """Propagation coefficients of a single partition at time t.
+def coefficients(p: JcmParams, t: float | np.ndarray) -> PropagatorCoeffs:
+    """Propagation coefficients of a single partition at time t (float or array).
 
     Populations of the dressed levels decay as exp(-I_plus/2) and
     exp(-I_minus/2): each dressed level holds half a cavity photon, so it
@@ -166,14 +190,18 @@ def coefficients(p: JcmParams, t: float) -> PropagatorCoeffs:
     involved) plus the free phase of the corresponding energy gap. At t=0
     the map is the identity.
     """
-    _check_time(t)
+    lib = _lib(t)
     ip = integrated_rate_plus(p, t)
     im = integrated_rate_minus(p, t)
-    a11 = math.exp(-0.5 * ip)
-    a22 = math.exp(-0.5 * im)
-    a12 = cmath.exp(-2.0j * p.omega * t) * math.exp(-0.25 * (ip + im))
-    a13 = cmath.exp(-1.0j * (p.omega0 + p.omega) * t) * math.exp(-0.25 * ip)
-    a23 = cmath.exp(-1.0j * (p.omega0 - p.omega) * t) * math.exp(-0.25 * im)
+
+    def phase(freq):  # exp(-i freq t)
+        return lib.cos(freq * t) - 1j * lib.sin(freq * t)
+
+    a11 = lib.exp(-0.5 * ip)
+    a22 = lib.exp(-0.5 * im)
+    a12 = phase(2.0 * p.omega) * lib.exp(-0.25 * (ip + im))
+    a13 = phase(p.omega0 + p.omega) * lib.exp(-0.25 * ip)
+    a23 = phase(p.omega0 - p.omega) * lib.exp(-0.25 * im)
     return PropagatorCoeffs(
         t=t,
         a11=a11,
@@ -186,8 +214,8 @@ def coefficients(p: JcmParams, t: float) -> PropagatorCoeffs:
     )
 
 
-def transfer_tensor(p: JcmParams, t: float) -> np.ndarray:
-    """Single-partition map at time t as a (3,3,3,3) tensor.
+def transfer_tensor(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
+    """Single-partition map at time t as a (3,3,3,3) tensor, or (T,3,3,3,3) for T times.
 
     rho'[i, j] = sum over k, l of T[i, j, k, l] rho[k, l]. Every entry of
     the map is written here, the conjugate coherence factors of the lower
@@ -195,19 +223,22 @@ def transfer_tensor(p: JcmParams, t: float) -> np.ndarray:
     what the dressed populations lose.
     """
     c = coefficients(p, t)
-    tensor = np.zeros((3, 3, 3, 3), dtype=complex)
-    tensor[0, 0, 0, 0] = c.a11
-    tensor[1, 1, 1, 1] = c.a22
-    tensor[2, 2, 0, 0] = c.a33_11
-    tensor[2, 2, 1, 1] = c.a33_22
-    tensor[2, 2, 2, 2] = 1.0
+    tensor = np.zeros(np.shape(c.t) + (3, 3, 3, 3), dtype=complex)
+    tensor[..., 0, 0, 0, 0] = c.a11
+    tensor[..., 1, 1, 1, 1] = c.a22
+    tensor[..., 2, 2, 0, 0] = c.a33_11
+    tensor[..., 2, 2, 1, 1] = c.a33_22
+    tensor[..., 2, 2, 2, 2] = 1.0
     for (i, j), a in (((0, 1), c.a12), ((0, 2), c.a13), ((1, 2), c.a23)):
-        tensor[i, j, i, j] = a
-        tensor[j, i, j, i] = a.conjugate()
+        tensor[..., i, j, i, j] = a
+        tensor[..., j, i, j, i] = np.conj(a)
     return tensor
 
 
-def propagate_single(rho0: np.ndarray, p: JcmParams, t: float) -> np.ndarray:
-    """Propagate a 3x3 dressed-basis state from 0 to t in closed form."""
+def propagate_single(rho0: np.ndarray, p: JcmParams, t: float | np.ndarray) -> np.ndarray:
+    """Propagate a 3x3 dressed-basis state from 0 to t in closed form.
+
+    For an array of T times the result is the (T,3,3) stack of states.
+    """
     rho0 = validate_density_matrix(rho0, 3, name="rho0")
-    return np.einsum("ijkl,kl->ij", transfer_tensor(p, t), rho0)
+    return np.einsum("...ijkl,kl->...ij", transfer_tensor(p, t), rho0)

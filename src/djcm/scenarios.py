@@ -19,8 +19,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .entanglement import concurrence
-from .evolution import min_eigenvalue, propagate_pair, identical_partitions
+from .entanglement import concurrence, concurrence_x_state
+from .evolution import identical_partitions, min_eigenvalue, propagate_pairs
 from .integrate import integrate_pair, integrate_single, oracle_config, rate_from_spectral_density
 from .propagator import (
     JcmParams,
@@ -29,7 +29,7 @@ from .propagator import (
     integrated_rate_plus,
     propagate_single,
 )
-from .states import ReductionTarget, initial_state, reduce, reduce_all
+from .states import ReductionTarget, initial_state, reduce_stack
 
 __all__ = [
     "ScenarioConfig",
@@ -37,6 +37,8 @@ __all__ = [
     "TARGET_ORDER",
     "CSV_HEADER",
     "PRESET_NAMES",
+    "MAX_SAMPLES",
+    "CHUNK_ROWS",
     "SWEEP_PRESETS",
     "SWEEP_PURITIES",
     "preset_config",
@@ -63,6 +65,17 @@ CSV_HEADER = "gamma0_t," + ",".join("C_" + t.value for t in TARGET_ORDER)
 
 _ALL_TARGETS = tuple(TARGET_ORDER)
 
+# Largest time grid a config may ask for. The trajectory is returned as
+# one ConcurrenceRecord per sample, about 620 bytes each with all six
+# targets, so this caps the record list near 0.6 GB.
+MAX_SAMPLES = 10**6
+
+# Time samples propagated, reduced and measured together. Large enough
+# that numpy, not the interpreter, does the work; small enough that the
+# (CHUNK_ROWS, 9, 9) stacks and their temporaries stay well under a
+# megabyte, whatever the grid size.
+CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -81,8 +94,10 @@ class ScenarioConfig:
             raise ValueError(f"purity must lie in [0,1], got {self.purity}")
         if not 0.0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
-        if self.samples < 2:
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        if not 2 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(
+                f"samples must lie in [2, {MAX_SAMPLES}], got {self.samples}"
+            )
         if self.output not in ("csv", "json"):
             raise ValueError(f"output must be 'csv' or 'json', got {self.output!r}")
         if not self.targets:
@@ -136,16 +151,28 @@ def time_grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.t_max, cfg.samples)
 
 
+def _chunks(n: int):
+    """Consecutive slices of at most CHUNK_ROWS rows covering range(n)."""
+    return (slice(i, min(i + CHUNK_ROWS, n)) for i in range(0, n, CHUNK_ROWS))
+
+
+def _target_blocks(cfg: ScenarioConfig, r0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """(T, 6, 4, 4) reductions of the state propagated from r0 to each time."""
+    return reduce_stack(propagate_pairs(r0, cfg.params_a, cfg.params_b, times))
+
+
 def evolve_concurrences(cfg: ScenarioConfig) -> list[ConcurrenceRecord]:
     """Analytical trajectory of all requested pair concurrences."""
     r0 = initial_state(cfg.purity)
-    records = []
-    for t in time_grid(cfg):
-        state = propagate_pair(r0, cfg.params_a, cfg.params_b, float(t))
-        pairs = reduce_all(state)
-        values = {tgt: concurrence(pairs[tgt]) for tgt in cfg.targets}
-        records.append(ConcurrenceRecord(t=float(t), values=values))
-    return records
+    grid = time_grid(cfg)
+    blocks = [target.block for target in cfg.targets]
+    values = np.empty((len(grid), len(blocks)))
+    for rows in _chunks(len(grid)):
+        values[rows] = concurrence_x_state(_target_blocks(cfg, r0, grid[rows])[:, blocks])
+    return [
+        ConcurrenceRecord(t=t, values=dict(zip(cfg.targets, row)))
+        for t, row in zip(grid.tolist(), values.tolist())
+    ]
 
 
 def column(records: Iterable[ConcurrenceRecord], target: ReductionTarget) -> np.ndarray:
@@ -245,15 +272,20 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     quadrature, and reports positivity plus the running minimum of the
     accumulated upper-branch exponent. Pass thresholds: 1e-6 for the
     trajectory comparisons, 1e-8 for the rates, -1e-8 for eigenvalues.
+
+    `max_dev_concurrence_routes` is the largest gap between the X-state
+    closed form (the production route) and the spectral route over all
+    six pairs at up to 101 evenly spaced grid times. It is reported, not
+    gated.
     """
     # single partition, all-entries state
     single0 = _uniform_single_state()
     cfg_single = oracle_config(cfg.t_max, cfg.samples, cfg.params_a)
     traj_single = integrate_single(single0, cfg.params_a, cfg_single)
     dev_single = 0.0
-    for t, state in zip(traj_single.times, traj_single.states):
-        exact = propagate_single(single0, cfg.params_a, float(t))
-        dev_single = max(dev_single, float(np.abs(state - exact).max()))
+    for rows in _chunks(len(traj_single)):
+        exact = propagate_single(single0, cfg.params_a, traj_single.times[rows])
+        dev_single = max(dev_single, float(np.abs(traj_single.states[rows] - exact).max()))
 
     # joint propagation from the physical initial state
     pair0 = initial_state(cfg.purity)
@@ -261,28 +293,30 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     traj_pair = integrate_pair(pair0, cfg.params_a, cfg.params_b, cfg_pair)
     dev_pair = 0.0
     min_eig = math.inf
-    for t, state in zip(traj_pair.times, traj_pair.states):
-        exact = propagate_pair(pair0, cfg.params_a, cfg.params_b, float(t))
-        dev_pair = max(dev_pair, float(np.abs(state - exact).max()))
-        min_eig = min(min_eig, min_eigenvalue(exact))
+    for rows in _chunks(len(traj_pair)):
+        exact = propagate_pairs(pair0, cfg.params_a, cfg.params_b, traj_pair.times[rows])
+        dev_pair = max(dev_pair, float(np.abs(traj_pair.states[rows] - exact).max()))
+        min_eig = min(min_eig, float(min_eigenvalue(exact).min()))
 
     # decay rates from the reservoir correlation function
     param_sets = [cfg.params_a]
     if not identical_partitions(cfg.params_a, cfg.params_b):
         param_sets.append(cfg.params_b)
+    rate_times = np.linspace(0.0, min(cfg.t_max, 10.0), 21)
     dev_minus = dev_plus = 0.0
     for p in param_sets:
-        for t in np.linspace(0.0, min(cfg.t_max, 10.0), 21):
-            t = float(t)
-            quad_minus = rate_from_spectral_density(p, p.omega0 - p.omega, t)
-            quad_plus = rate_from_spectral_density(p, p.omega0 + p.omega, t)
-            dev_minus = max(dev_minus, abs(quad_minus - decay_rate_minus(p, t)))
-            dev_plus = max(dev_plus, abs(quad_plus - decay_rate_plus(p, t)))
+        quad_minus = [rate_from_spectral_density(p, p.omega0 - p.omega, float(t)) for t in rate_times]
+        quad_plus = [rate_from_spectral_density(p, p.omega0 + p.omega, float(t)) for t in rate_times]
+        dev_minus = max(dev_minus, float(np.abs(quad_minus - decay_rate_minus(p, rate_times)).max()))
+        dev_plus = max(dev_plus, float(np.abs(quad_plus - decay_rate_plus(p, rate_times)).max()))
 
-    min_ip = min(
-        integrated_rate_plus(cfg.params_a, float(t))
-        for t in np.linspace(0.0, cfg.t_max, 2001)
-    )
+    min_ip = float(integrated_rate_plus(cfg.params_a, np.linspace(0.0, cfg.t_max, 2001)).min())
+
+    # the two concurrence routes at up to 101 evenly spaced grid times
+    rows = np.unique(np.linspace(0, cfg.samples - 1, min(cfg.samples, 101)).round().astype(int))
+    blocks = _target_blocks(cfg, pair0, time_grid(cfg)[rows])
+    spectral = np.array([[concurrence(b) for b in row] for row in blocks])
+    dev_routes = float(np.abs(concurrence_x_state(blocks) - spectral).max())
 
     report = {
         "preset": preset,
@@ -292,6 +326,7 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
         "max_dev_rate_plus": dev_plus,
         "min_eigenvalue": min_eig,
         "min_integrated_rate_plus": min_ip,
+        "max_dev_concurrence_routes": dev_routes,
         "pass_oracle": max(dev_single, dev_pair) <= 1e-6,
         "pass_rates": max(dev_minus, dev_plus) <= 1e-8,
         "pass_positivity": min_eig >= -1e-8,
@@ -314,14 +349,21 @@ def transient_entanglement_threshold(
     concurrence exceeds eps anywhere on the time grid; None if even r=1
     never entangles the pair. This is the transient counterpart of the
     quasi-steady threshold constant.
+
+    The initial state is affine in r, and so are propagation and
+    reduction: the `target` block at purity r is r*A + (1-r)*B, with A
+    and B the blocks of the r=1 and r=0 trajectories, each propagated
+    once per chunk of the grid.
     """
+    purities = [min(1.0, k * dr) for k in range(int(round(1.0 / dr)) + 1)]
     grid = time_grid(cfg)
-    n_values = int(round(1.0 / dr)) + 1
-    for k in range(n_values):
-        r = min(1.0, k * dr)
-        r0 = initial_state(r)
-        for t in grid:
-            state = propagate_pair(r0, cfg.params_a, cfg.params_b, float(t))
-            if concurrence(reduce(state, target)) > eps:
-                return r
-    return None
+    bell, noise = initial_state(1.0), initial_state(0.0)
+    first = len(purities)  # index of the smallest entangling purity found so far
+    for rows in _chunks(len(grid)):
+        a = _target_blocks(cfg, bell, grid[rows])[:, target.block]
+        b = _target_blocks(cfg, noise, grid[rows])[:, target.block]
+        for k, r in enumerate(purities[:first]):
+            if (concurrence_x_state(r * a + (1.0 - r) * b) > eps).any():
+                first = k
+                break
+    return purities[first] if first < len(purities) else None

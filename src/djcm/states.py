@@ -10,8 +10,12 @@ between those pictures:
   the ground state, and returns the 9x9 dressed-basis matrix.
 * `dressed_to_standard` / `standard_to_dressed` conjugate by the
   per-partition dressing unitary.
-* `reduce(s, target)` embeds the 9-dim state into the 16-dim four-qubit
-  space and partial-traces down to any of the six qubit pairs.
+* The six two-qubit reductions are linear in the state, so they are one
+  fixed (96, 81) table from the 81 dressed entries to six 4x4 blocks,
+  built once at import by pushing the 81 matrix units through the
+  dressing, the 16-dim four-qubit embedding and the partial traces.
+  `reduce_stack` applies it to a whole stack of states; `reduce` and
+  `reduce_all` are its one-state views.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import bases
-from .linalg import partial_trace_qubits, validate_density_matrix
+from .linalg import partial_trace_qubits, validate_density_matrix, validate_density_stack
 
 __all__ = [
     "ReductionTarget",
@@ -33,6 +37,7 @@ __all__ = [
     "embed_standard_16",
     "reduce",
     "reduce_all",
+    "reduce_stack",
 ]
 
 # 9x9 dressing transform, one 3x3 factor per partition.
@@ -55,6 +60,11 @@ class ReductionTarget(Enum):
     def qubits(self) -> tuple[int, ...]:
         """Four-qubit indices of the kept pair, in output order."""
         return tuple(bases.QUBIT_INDEX[c] for c in self.value)
+
+    @property
+    def block(self) -> int:
+        """Position of this pair on the second axis of `reduce_stack`."""
+        return list(ReductionTarget).index(self)
 
 
 @dataclass(frozen=True)
@@ -118,13 +128,13 @@ def _compress_16_to_9(rho16: np.ndarray, leak_tol: float = 1e-12) -> np.ndarray:
 
 
 def dressed_to_standard(s: np.ndarray) -> np.ndarray:
-    """Rewrite a 9x9 dressed-basis state in the bare product basis."""
+    """Rewrite a 9x9 dressed-basis state (or a stack of them) in the bare product basis."""
     s = np.asarray(s, dtype=complex)
     return _W_DAG @ s @ _W
 
 
 def standard_to_dressed(s: np.ndarray) -> np.ndarray:
-    """Rewrite a 9x9 bare-basis state in the dressed product basis."""
+    """Rewrite a 9x9 bare-basis state (or a stack of them) in the dressed product basis."""
     s = np.asarray(s, dtype=complex)
     return _W @ s @ _W_DAG
 
@@ -133,27 +143,55 @@ def embed_standard_16(std9: np.ndarray) -> np.ndarray:
     """Embed the 9-dim bare-basis state into the full 16-dim four-qubit space.
 
     The seven levels with an over-occupied partition (|1e> on either
-    side) receive exactly zero amplitude.
+    side) receive exactly zero amplitude. Leading axes are a stack.
     """
-    rho16 = np.zeros((16, 16), dtype=complex)
-    rho16[np.ix_(_EMBED, _EMBED)] = std9
+    std9 = np.asarray(std9, dtype=complex)
+    rho16 = np.zeros(std9.shape[:-2] + (16, 16), dtype=complex)
+    rho16[..., _EMBED[:, None], _EMBED[None, :]] = std9
     return rho16
+
+
+def _reduction_table() -> np.ndarray:
+    """(96, 81) map from a dressed 9x9 state's entries to its six reductions.
+
+    Column k is the image of the k-th matrix unit; row 16*n + 4*i + j is
+    entry (i, j) of the n-th reduction in `ReductionTarget` order.
+    """
+    units = np.eye(81, dtype=complex).reshape(81, 9, 9)
+    rho16 = embed_standard_16(dressed_to_standard(units))
+    blocks = [partial_trace_qubits(rho16, 4, target.qubits) for target in ReductionTarget]
+    return np.stack(blocks, axis=1).reshape(81, 96).T
+
+
+_REDUCTION = _reduction_table()
+
+
+def reduce_stack(states: np.ndarray) -> np.ndarray:
+    """All six reductions of each state of a (T,9,9) stack, as a (T,6,4,4) array.
+
+    The second axis runs over `ReductionTarget` in definition order (see
+    `ReductionTarget.block`); each 4x4 block uses the basis and factor
+    order of `PairState`.
+    """
+    states = validate_density_stack(states, 9, name="state")
+    if states.ndim != 3:
+        raise ValueError(f"expected a (T,9,9) stack of states, got shape {states.shape}")
+    flat = states.reshape(len(states), 81) @ _REDUCTION.T
+    return flat.reshape(len(states), 6, 4, 4)
+
+
+def reduce_all(s: np.ndarray) -> dict[ReductionTarget, PairState]:
+    """All six reductions of one dressed-basis 9x9 state."""
+    s = validate_density_matrix(s, 9, name="state")
+    blocks = reduce_stack(s[None])[0]
+    return {
+        target: PairState(matrix=block, labels=(target.value[0], target.value[1]))
+        for target, block in zip(ReductionTarget, blocks)
+    }
 
 
 def reduce(s: np.ndarray, target: ReductionTarget) -> PairState:
     """Reduce a dressed-basis 9x9 state to one of the six qubit pairs."""
     s = validate_density_matrix(s, 9, name="state")
-    rho16 = embed_standard_16(dressed_to_standard(s))
-    reduced = partial_trace_qubits(rho16, 4, target.qubits)
-    return PairState(matrix=reduced, labels=(target.value[0], target.value[1]))
-
-
-def reduce_all(s: np.ndarray) -> dict[ReductionTarget, PairState]:
-    """All six reductions of one state, sharing the basis work."""
-    s = validate_density_matrix(s, 9, name="state")
-    rho16 = embed_standard_16(dressed_to_standard(s))
-    out = {}
-    for target in ReductionTarget:
-        reduced = partial_trace_qubits(rho16, 4, target.qubits)
-        out[target] = PairState(matrix=reduced, labels=(target.value[0], target.value[1]))
-    return out
+    block = reduce_stack(s[None])[0, target.block]
+    return PairState(matrix=block, labels=(target.value[0], target.value[1]))

@@ -102,6 +102,33 @@ def test_x_state_route_rejects_general_states():
     assert 0.0 <= concurrence(rho) <= 1.0
 
 
+def test_x_state_route_on_stacks():
+    rng = np.random.default_rng(71)
+    stack = np.array([_random_x_state(rng) for _ in range(12)]).reshape(3, 4, 4, 4)
+    batched = concurrence_x_state(stack)
+    assert batched.shape == (3, 4)
+    for idx in np.ndindex(3, 4):
+        assert batched[idx] == pytest.approx(concurrence_x_state(stack[idx]), abs=1e-15)
+    assert isinstance(concurrence_x_state(stack[0, 0]), float)
+    # one non-X matrix anywhere in the stack is an error naming it and its
+    # worst stray entry; there is no fallback to the spectral route
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[1] = 1.0 / math.sqrt(2.0)
+    stack[2, 1] = 0.8 * _werner(0.9) + 0.2 * np.outer(psi, psi.conj())
+    with pytest.raises(ValueError, match=r"state\[2, 1\] is not X-structured .* at \(0, 1\)"):
+        concurrence_x_state(stack)
+
+
+def test_x_state_route_rejects_negative_states():
+    # an X-shaped matrix with unit trace but an eigenvalue of -0.1
+    bad = np.diag([0.3, 0.4, 0.3, 0.0]).astype(complex)
+    bad[0, 3] = bad[3, 0] = 0.2
+    with pytest.raises(ValueError, match="eigenvalue"):
+        concurrence_x_state(bad)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        concurrence_x_state(np.array([_werner(0.4), bad]))
+
+
 def test_local_unitary_invariance():
     rng = np.random.default_rng(57)
     for _ in range(10):

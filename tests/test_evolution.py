@@ -18,6 +18,7 @@ from djcm.evolution import (
     identical_partitions,
     min_eigenvalue,
     propagate_pair,
+    propagate_pairs,
 )
 from djcm.propagator import JcmParams, propagate_single
 from djcm.states import initial_state
@@ -60,6 +61,25 @@ def test_pair_map_is_tensor_product_on_spanning_set():
                     propagate_single(sigma_b, p_b, t),
                 )
                 assert np.abs(got - expected).max() < 1e-14
+
+
+def test_time_stack_matches_one_time_calls():
+    rng = np.random.default_rng(23)
+    r0 = _random_state(rng)
+    times = np.array([0.0, 0.31, 2.3, 9.0, 40.0])
+    stack = propagate_pairs(r0, P_MEMORY, P_STIFF, times)
+    assert stack.shape == (5, 9, 9)
+    for k, t in enumerate(times):
+        assert np.abs(stack[k] - propagate_pair(r0, P_MEMORY, P_STIFF, float(t))).max() < 1e-15
+    assert propagate_pairs(r0, P_MARKOV, P_MARKOV, np.empty(0)).shape == (0, 9, 9)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        propagate_pairs(r0, P_MARKOV, P_MARKOV, times.reshape(5, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        propagate_pairs(r0, P_MARKOV, P_MARKOV, np.array([0.5, -1.0]))
+    # the stack's smallest eigenvalues, one per state
+    lows = min_eigenvalue(stack)
+    assert lows.shape == (5,)
+    assert lows[2] == pytest.approx(min_eigenvalue(stack[2]), abs=1e-15)
 
 
 def test_identity_at_t0():

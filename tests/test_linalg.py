@@ -6,6 +6,7 @@ from djcm.linalg import (
     hermitian_eig,
     partial_trace_qubits,
     validate_density_matrix,
+    validate_density_stack,
 )
 
 
@@ -82,6 +83,15 @@ def test_partial_trace_preserves_trace():
         assert abs(reduced.trace() - m.trace()) < 1e-10
 
 
+def test_partial_trace_of_a_stack():
+    rng = np.random.default_rng(19)
+    stack = np.array([random_hermitian(rng, 8) for _ in range(3)]).reshape(3, 1, 8, 8)
+    reduced = partial_trace_qubits(stack, 3, (2, 0))
+    assert reduced.shape == (3, 1, 4, 4)
+    for k in range(3):
+        assert np.abs(reduced[k, 0] - partial_trace_qubits(stack[k, 0], 3, (2, 0))).max() < 1e-15
+
+
 def test_partial_trace_input_checks():
     m = np.eye(4) / 4.0
     with pytest.raises(ValueError, match="does not match"):
@@ -108,3 +118,24 @@ def test_validate_density_matrix():
     # NaN compares False against every tolerance; the guards must still fire
     with pytest.raises(ValueError):
         validate_density_matrix(np.full((9, 9), np.nan), 9)
+
+
+def test_validate_density_stack_names_the_worst_matrix():
+    stack = np.array([np.eye(3) / 3.0] * 4, dtype=complex).reshape(2, 2, 3, 3)
+    assert validate_density_stack(stack, 3).shape == (2, 2, 3, 3)
+    assert validate_density_stack(np.empty((0, 3, 3)), 3).shape == (0, 3, 3)
+    with pytest.raises(ValueError, match="3x3"):
+        validate_density_stack(np.eye(3)[0], 3)
+    bad = stack.copy()
+    bad[1, 0, 2, 2] += 0.5
+    with pytest.raises(ValueError, match=r"state\[1, 0\] must have unit trace"):
+        validate_density_stack(bad, 3)
+    bad = stack.copy()
+    bad[0, 1, 0, 1] = 1e-3
+    bad[1, 1, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match=r"rho\[0, 1\] is not Hermitian"):
+        validate_density_stack(bad, 3, name="rho")
+    bad = stack.copy()
+    bad[1, 1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"state\[1, 1\]"):
+        validate_density_stack(bad, 3)

@@ -74,6 +74,53 @@ def test_negative_time_rejected():
     for fn in (decay_rate_minus, decay_rate_plus, integrated_rate_minus, integrated_rate_plus):
         with pytest.raises(ValueError):
             fn(MARKOV, -0.1)
+        # one bad entry of a time array is enough
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-negative"):
+                fn(MARKOV, np.array([0.0, 1.0, bad]))
+
+
+def test_time_arrays_match_scalar_calls():
+    # an array of times is the batch axis: shape in, shape out, and each
+    # entry equals the scalar call up to the last bits of the libm/numpy
+    # elementary functions
+    ts = np.linspace(0.0, 12.0, 25).reshape(5, 5)
+    for p in REGIMES:
+        for fn in (decay_rate_minus, decay_rate_plus, integrated_rate_minus, integrated_rate_plus):
+            batched = fn(p, ts)
+            assert batched.shape == ts.shape
+            scalar = np.array([fn(p, float(t)) for t in ts.ravel()]).reshape(ts.shape)
+            assert np.abs(batched - scalar).max() <= 1e-14 * max(1.0, np.abs(scalar).max())
+        tensor = transfer_tensor(p, ts[0])
+        assert tensor.shape == (5, 3, 3, 3, 3)
+        for k, t in enumerate(ts[0]):
+            assert np.abs(tensor[k] - transfer_tensor(p, float(t))).max() < 1e-15
+        c = coefficients(p, ts)
+        assert c.a12.shape == c.a33_22.shape == ts.shape
+    assert np.shape(coefficients(MARKOV, 1.0).a12) == ()
+    rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    rho[0, 2] = rho[2, 0] = 0.1
+    stack = propagate_single(rho, NONMARKOV, ts[1])
+    assert stack.shape == (5, 3, 3)
+    for k, t in enumerate(ts[1]):
+        assert np.abs(stack[k] - propagate_single(rho, NONMARKOV, float(t))).max() < 1e-15
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_integrated_minus_keeps_digits_for_tiny_lam(as_array):
+    # I_minus(t) ~ gamma0*lam*t^2/2 when lam*t << 1; the old form
+    # gamma0*t + (gamma0/lam)*(exp(-lam*t) - 1) cancelled to 2.0 at
+    # lam=1e-300 and to 4.4e-5 at lam=1e-12
+    t = np.array([2.0]) if as_array else 2.0
+    tiny = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=1e-300)
+    assert np.abs(integrated_rate_minus(tiny, t)).max() <= 1e-15
+    assert np.abs(decay_rate_minus(tiny, t)).max() <= 1e-299
+    small = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=1e-12)
+    expected = small.gamma0 * small.lam * 2.0**2 / 2.0
+    assert np.abs(integrated_rate_minus(small, t) - expected).max() <= 1e-15
+    x = small.lam * 2.0
+    series = small.gamma0 * (x - x**2 / 2.0 + x**3 / 6.0)
+    assert np.abs(decay_rate_minus(small, t) / series - 1.0).max() <= 1e-15
 
 
 def test_rate_plus_can_go_negative_only_when_non_markovian():

@@ -14,10 +14,13 @@ import sys
 import pytest
 
 from djcm.cli import main
-from djcm.entanglement import STEADY_PURITY_THRESHOLD
+from djcm.entanglement import STEADY_PURITY_THRESHOLD, concurrence, concurrence_x_state
+from djcm.evolution import propagate_pair, propagate_pairs
 from djcm.propagator import JcmParams, integrated_rate_minus, integrated_rate_plus
 from djcm.scenarios import (
+    CHUNK_ROWS,
     CSV_HEADER,
+    MAX_SAMPLES,
     PRESET_NAMES,
     SWEEP_PRESETS,
     SWEEP_PURITIES,
@@ -33,7 +36,7 @@ from djcm.scenarios import (
     write_csv,
     write_json,
 )
-from djcm.states import ReductionTarget
+from djcm.states import ReductionTarget, initial_state, reduce_all, reduce_stack
 
 P = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
 
@@ -90,6 +93,9 @@ def test_scenario_config_validation():
         _small_cfg(t_max=math.inf)
     with pytest.raises(ValueError):
         _small_cfg(samples=1)
+    with pytest.raises(ValueError, match="samples"):
+        _small_cfg(samples=MAX_SAMPLES + 1)
+    assert _small_cfg(samples=MAX_SAMPLES).samples == MAX_SAMPLES  # nothing allocated yet
     with pytest.raises(ValueError):
         _small_cfg(output="yaml")
     with pytest.raises(ValueError):
@@ -136,6 +142,19 @@ def test_evolve_concurrences_start_values():
     col = column(records, ReductionTarget.ab)
     assert col[0] == first.values[ReductionTarget.ab]
     assert len(col) == 31
+
+
+def test_evolve_chunks_agree_with_per_sample_pipeline():
+    # a grid two rows longer than one chunk: the batched trajectory must
+    # match propagate_pair + reduce_all + the spectral concurrence sample
+    # by sample, across the chunk boundary
+    cfg = _small_cfg(purity=0.9, samples=CHUNK_ROWS + 2, t_max=8.0)
+    records = evolve_concurrences(cfg)
+    r0 = initial_state(cfg.purity)
+    for rec in records[CHUNK_ROWS - 3:] + records[:3]:
+        pairs = reduce_all(propagate_pair(r0, P, P, rec.t))
+        for target in ReductionTarget:
+            assert rec.values[target] == pytest.approx(concurrence(pairs[target]), abs=1e-8)
 
 
 def test_evolve_respects_target_selection():
@@ -222,6 +241,30 @@ def test_validation_report_clean_run():
     assert report["min_integrated_rate_plus"] >= 0.0
     assert report["pass_oracle"] and report["pass_rates"] and report["pass_positivity"]
     assert report["passed"] is True
+    # reported, not gated: the spectral route's noise floor
+    assert 0.0 <= report["max_dev_concurrence_routes"] <= 1e-8
+    assert {key for key in report if key.startswith("pass_")} == {
+        "pass_oracle", "pass_rates", "pass_positivity",
+    }
+
+
+def test_transient_threshold_fig4_scan():
+    # acceptance 09's scan: 301 samples (more than one chunk), dr=0.01;
+    # the affine-in-r combination must land where a direct re-propagation
+    # of each initial_state(r) lands
+    strong = preset_config("fig4")
+    cfg = ScenarioConfig(
+        params_a=strong.params_a, params_b=strong.params_b,
+        purity=1.0, t_max=strong.t_max, samples=301,
+    )
+    assert transient_entanglement_threshold(cfg, dr=0.01) == 0.37
+    grid = time_grid(cfg)
+
+    def peak(r):
+        states = propagate_pairs(initial_state(r), cfg.params_a, cfg.params_b, grid)
+        return concurrence_x_state(reduce_stack(states)[:, ReductionTarget.AB.block]).max()
+
+    assert peak(0.37) > 1e-8 >= peak(0.36)
 
 
 def test_transient_threshold_cavity_pair():
@@ -328,6 +371,7 @@ def test_cli_evolve_errors(capsys, tmp_path):
         ("--omega0", "nan", "omega0"),
         ("--tmax", "inf", "t_max"),
         ("--omega", "1e300", "overflow"),
+        ("--samples", "1000000000000", "samples"),
     ],
 )
 def test_cli_evolve_rejects_out_of_range_numbers(capsys, flag, value, field):
@@ -337,6 +381,19 @@ def test_cli_evolve_rejects_out_of_range_numbers(capsys, flag, value, field):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert field in captured.err
+
+
+def test_cli_evolve_tiny_lambda_is_the_memoryless_limit(capsys):
+    # lam -> 0 switches the lower-branch rate off; lam=1e-300 used to
+    # lose I_minus to cancellation and decay fully (C_AB 0.564 at t=1)
+    c_ab = []
+    for lam in ("1e-300", "1e-6"):
+        argv = ["evolve", "--omega", "1", "--lambda", lam, "--r", "1", "--tmax", "2", "--samples", "3"]
+        assert main(argv) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert float(row[0]) == 1.0
+        c_ab.append(float(row[1]))
+    assert abs(c_ab[0] - c_ab[1]) <= 1e-5
 
 
 def test_cli_figure(tmp_path, capsys):

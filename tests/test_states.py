@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from djcm import bases
-from djcm.evolution import propagate_pair
+from djcm.evolution import propagate_pair, propagate_pairs
 from djcm.linalg import partial_trace_qubits
 from djcm.propagator import JcmParams
 from djcm.states import (
@@ -23,6 +23,7 @@ from djcm.states import (
     initial_state,
     reduce,
     reduce_all,
+    reduce_stack,
     standard_to_dressed,
 )
 
@@ -148,6 +149,23 @@ def test_reduce_matches_reduce_all():
         assert single.labels == (target.value[0], target.value[1])
 
 
+def test_reduce_stack_matches_reduce_all():
+    times = np.linspace(0.0, 6.0, 7)
+    states = propagate_pairs(initial_state(0.65), P, P, times)
+    blocks = reduce_stack(states)
+    assert blocks.shape == (7, 6, 4, 4)
+    for k in range(len(times)):
+        bundle = reduce_all(states[k])
+        for target in ReductionTarget:
+            assert np.abs(blocks[k, target.block] - bundle[target].matrix).max() < 1e-15
+    with pytest.raises(ValueError, match=r"\(T,9,9\)"):
+        reduce_stack(states[0])
+    broken = states.copy()
+    broken[3, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match=r"state\[3\] is not Hermitian"):
+        reduce_stack(broken)
+
+
 def test_reductions_stay_valid_along_trajectory():
     s0 = initial_state(0.6)
     for t in np.linspace(0.0, 12.0, 13):
@@ -184,11 +202,14 @@ def test_reductions_do_not_depend_on_qubit_frequency():
 
 
 def test_reduction_consistency_with_manual_trace():
-    # spot-check one target against a hand-rolled partial trace
+    # every target against a hand-rolled partial trace; the precomputed
+    # reduction table sums the same products in another order, so the
+    # two agree to a few ulps of an O(1) entry, not bit for bit
     s = propagate_pair(initial_state(0.5), P, P, 2.0)
     rho16 = embed_standard_16(dressed_to_standard(s))
-    manual = partial_trace_qubits(rho16, 4, (1, 3))
-    assert np.abs(reduce(s, ReductionTarget.AB).matrix - manual).max() == 0.0
+    for target in ReductionTarget:
+        manual = partial_trace_qubits(rho16, 4, target.qubits)
+        assert np.abs(reduce(s, target).matrix - manual).max() < 1e-15
 
 
 def test_pair_state_validation():
