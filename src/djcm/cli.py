@@ -12,13 +12,15 @@ A JSON config file (--config) may supply any ScenarioConfig field,
 including different parameters for the two partitions; command-line
 flags override file values and always set both partitions alike.
 
-Exit codes: 0 success, 1 validation failure, 2 bad input.
+Exit codes: 0 success, 1 validation failure, 2 bad input, 141 when the
+reader of standard output closes it early (as `djcm evolve ... | head` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -214,7 +216,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; nothing is wrong with the input. Send the rest of
+        # stdout to devnull so the flush at exit does not fail again, and exit
+        # as a shell reports a SIGPIPE death (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,10 @@
 Nothing in here knows the analytical solution. `integrate_single` and
 `integrate_pair` push the density matrix through the time-local master
 equation with a hand-written fixed-step fourth-order Runge-Kutta loop:
-dissipator built from raw jump operators, rates evaluated at the substep
-times, no reuse of the entry-wise coefficients being validated.
+the generator is a dense superoperator on vec(rho), assembled once per
+call from the raw Hamiltonian and jump operators, weighted by the decay
+rates at the substep times; no reuse of the entry-wise coefficients or
+the tensor-product structure being validated.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well.
@@ -110,18 +112,79 @@ def oracle_config(
     )
 
 
-def _single_generator(p: JcmParams):
-    """Right-hand side of the 3x3 master equation in the dressed basis."""
-    h = np.diag([0.5 * p.omega0 + p.omega, 0.5 * p.omega0 - p.omega, -0.5 * p.omega0])
+# Steps whose decay rates are evaluated together: each chunk asks every
+# rate function once for its 2 * _RATE_CHUNK half-step times, so memory
+# stays bounded (a few hundred kB) whatever the step count.
+_RATE_CHUNK = 2048
+
+
+def _dressed_hamiltonian(p: JcmParams) -> np.ndarray:
+    return np.diag([0.5 * p.omega0 + p.omega, 0.5 * p.omega0 - p.omega, -0.5 * p.omega0])
+
+
+def _jump_operators() -> tuple[np.ndarray, np.ndarray]:
+    """|0g><+| and |0g><-|: decay of each dressed level to the ground level."""
     s_plus = np.zeros((3, 3), dtype=complex)
-    s_plus[2, 0] = 1.0  # |0g><+|
+    s_plus[2, 0] = 1.0
     s_minus = np.zeros((3, 3), dtype=complex)
-    s_minus[2, 1] = 1.0  # |0g><-|
-    return _generator_from_ops(h, ((s_plus, p, decay_rate_plus), (s_minus, p, decay_rate_minus)))
+    s_minus[2, 1] = 1.0
+    return s_plus, s_minus
 
 
-def _pair_generator(p_a: JcmParams, p_b: JcmParams):
-    """Right-hand side of the 9x9 master equation: both partitions decay independently."""
+class _Generator:
+    """The master equation as a superoperator on the row-major vec(rho).
+
+    drho/dt = -i[h, rho] + sum_c rate_c(t) (S_c rho S_c^dag / 2 - {S_c^dag S_c, rho} / 4)
+    is vec(drho/dt) = L(t) vec(rho) with L(t) = L0 + sum_c rate_c(t) L_c, where,
+    by vec(A rho B) = (A kron B^T) vec(rho),
+
+        L0  = -i (h kron 1 - 1 kron h^T)
+        L_c = S_c kron S_c^* / 2 - (S_c^dag S_c kron 1 + 1 kron (S_c^dag S_c)^T) / 4.
+
+    `ops` stacks L0 and the L_c; `channels` holds each L_c's (params, rate).
+    """
+
+    def __init__(self, h: np.ndarray, channels) -> None:
+        eye = np.eye(len(h))
+        ops = [-1j * (np.kron(h, eye) - np.kron(eye, h.T))]
+        for s, _, _ in channels:
+            proj = s.conj().T @ s
+            ops.append(
+                0.5 * np.kron(s, s.conj()) - 0.25 * (np.kron(proj, eye) + np.kron(eye, proj.T))
+            )
+        self.dim = len(h) ** 2
+        self.ops = np.array(ops, dtype=complex)
+        self.channels = tuple((p, rate) for _, p, rate in channels)
+        # real weights scale real and imaginary parts alike, so one real
+        # matrix product over the interleaved float view sums the ops
+        self._flat = self.ops.reshape(len(ops), -1).view(float)
+
+    def weights(self, times: np.ndarray) -> np.ndarray:
+        """(T, 1 + C) real weights of the stacked ops: 1, then each rate at each time."""
+        w = np.ones((len(times), len(self.ops)))
+        for c, (p, rate) in enumerate(self.channels):
+            w[:, c + 1] = rate(p, times)
+        return w
+
+    def combine(self, w: np.ndarray) -> np.ndarray:
+        """(T, d*d, d*d) generators L(t) for the (T, 1 + C) weight rows `w`."""
+        return (w @ self._flat).view(complex).reshape(len(w), self.dim, self.dim)
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """(T, d*d, d*d) generators at the given times."""
+        return self.combine(self.weights(times))
+
+
+def _single_generator(p: JcmParams) -> _Generator:
+    """Generator of the 3x3 master equation in the dressed basis."""
+    s_plus, s_minus = _jump_operators()
+    return _Generator(
+        _dressed_hamiltonian(p), ((s_plus, p, decay_rate_plus), (s_minus, p, decay_rate_minus))
+    )
+
+
+def _pair_generator(p_a: JcmParams, p_b: JcmParams) -> _Generator:
+    """Generator of the 9x9 master equation: both partitions decay independently."""
     eye = np.eye(3, dtype=complex)
 
     def lift_a(m: np.ndarray) -> np.ndarray:
@@ -130,63 +193,54 @@ def _pair_generator(p_a: JcmParams, p_b: JcmParams):
     def lift_b(m: np.ndarray) -> np.ndarray:
         return np.kron(eye, m)
 
-    h3_a = np.diag([0.5 * p_a.omega0 + p_a.omega, 0.5 * p_a.omega0 - p_a.omega, -0.5 * p_a.omega0])
-    h3_b = np.diag([0.5 * p_b.omega0 + p_b.omega, 0.5 * p_b.omega0 - p_b.omega, -0.5 * p_b.omega0])
-    h = lift_a(h3_a) + lift_b(h3_b)
-
-    s_plus = np.zeros((3, 3), dtype=complex)
-    s_plus[2, 0] = 1.0
-    s_minus = np.zeros((3, 3), dtype=complex)
-    s_minus[2, 1] = 1.0
+    h = lift_a(_dressed_hamiltonian(p_a)) + lift_b(_dressed_hamiltonian(p_b))
+    s_plus, s_minus = _jump_operators()
     channels = (
         (lift_a(s_plus), p_a, decay_rate_plus),
         (lift_a(s_minus), p_a, decay_rate_minus),
         (lift_b(s_plus), p_b, decay_rate_plus),
         (lift_b(s_minus), p_b, decay_rate_minus),
     )
-    return _generator_from_ops(h, channels)
+    return _Generator(h, channels)
 
 
-def _generator_from_ops(h, channels):
-    """Build drho/dt = -i[h, rho] + sum_c rate_c(t) (S rho S^dag / 2 - {S^dag S, rho} / 4)."""
-    prepared = []
-    for s, p, rate in channels:
-        proj = s.conj().T @ s
-        prepared.append((s, s.conj().T, proj, p, rate))
+def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -> Trajectory:
+    """Classical RK4 on vec(rho): four generator-vector products per step.
 
-    def rhs(t: float, rho: np.ndarray) -> np.ndarray:
-        out = -1.0j * (h @ rho - rho @ h)
-        for s, s_dag, proj, p, rate in prepared:
-            g = rate(p, t)
-            out += g * (0.5 * (s @ rho @ s_dag) - 0.25 * (proj @ rho + rho @ proj))
-        return out
-
-    return rhs
-
-
-def _run_rk4(rho0: np.ndarray, rhs, cfg: IntegratorConfig, params) -> Trajectory:
+    Step k needs L at k*h, (k + 1/2)*h and (k + 1)*h. The rates come from
+    the half-step grid j*h/2, one call per channel per chunk of steps;
+    each step forms its two new generators in one product and reuses the
+    previous step's end generator as its start.
+    """
     n = cfg.n_steps()
     if n % cfg.record_every != 0:
         raise ValueError(
             f"record_every {cfg.record_every} does not divide {n} steps"
         )
     h = cfg.step
-    rho = rho0.copy()
-    times = [0.0]
-    states = [rho.copy()]
-    for k in range(n):
-        t = k * h
-        k1 = rhs(t, rho)
-        k2 = rhs(t + 0.5 * h, rho + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, rho + 0.5 * h * k2)
-        k4 = rhs(t + h, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (k + 1) % cfg.record_every == 0:
-            times.append((k + 1) * h)
-            states.append(rho.copy())
-    traj = Trajectory(times=np.array(times), states=np.array(states), params=params)
+    d = rho0.shape[0]
+    states = np.empty((n // cfg.record_every + 1, d, d), dtype=complex)
+    states[0] = rho0
+    rho = states[0].reshape(-1).copy()
+    l_end = gen.at(np.zeros(1))[0]
+    for first in range(0, n, _RATE_CHUNK):
+        last = min(n, first + _RATE_CHUNK)
+        # half-step times (2k + 1)*h/2 and (2k + 2)*h/2 for k in [first, last)
+        w = gen.weights(np.arange(2 * first + 1, 2 * last + 1) * (0.5 * h))
+        for k in range(first, last):
+            l_start = l_end
+            l_mid, l_end = gen.combine(w[2 * (k - first) : 2 * (k - first) + 2])
+            k1 = l_start @ rho
+            k2 = l_mid @ (rho + 0.5 * h * k1)
+            k3 = l_mid @ (rho + 0.5 * h * k2)
+            k4 = l_end @ (rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (k + 1) % cfg.record_every == 0:
+                states[(k + 1) // cfg.record_every] = rho.reshape(d, d)
+    times = np.arange(len(states)) * cfg.record_every * h
+    traj = Trajectory(times=times, states=states, params=params)
     drift = float(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max())
-    if drift > 1e-8:
+    if not (drift <= 1e-8):
         raise RuntimeError(f"integration lost trace (drift {drift:.3e})")
     return traj
 

@@ -94,8 +94,8 @@ def _lib(t: float | np.ndarray):
 
     `math` for a scalar t, `numpy` for an array of times: both spell exp,
     expm1, sin and cos alike, so every formula below is written once.
-    The scalar path keeps the RK4 oracle, which asks for one rate at a
-    time, at math-module speed.
+    A scalar t thus gives a plain float at math-module speed; callers
+    with many times (the RK4 oracle included) pass them as one array.
     """
     if isinstance(t, np.ndarray):
         ok = (t >= 0.0) & (t < math.inf)

@@ -282,10 +282,11 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     single0 = _uniform_single_state()
     cfg_single = oracle_config(cfg.t_max, cfg.samples, cfg.params_a)
     traj_single = integrate_single(single0, cfg.params_a, cfg_single)
+    # np.maximum/np.minimum, unlike max()/min(), carry a NaN through to the gates
     dev_single = 0.0
     for rows in _chunks(len(traj_single)):
         exact = propagate_single(single0, cfg.params_a, traj_single.times[rows])
-        dev_single = max(dev_single, float(np.abs(traj_single.states[rows] - exact).max()))
+        dev_single = np.maximum(dev_single, np.abs(traj_single.states[rows] - exact).max())
 
     # joint propagation from the physical initial state
     pair0 = initial_state(cfg.purity)
@@ -295,8 +296,8 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     min_eig = math.inf
     for rows in _chunks(len(traj_pair)):
         exact = propagate_pairs(pair0, cfg.params_a, cfg.params_b, traj_pair.times[rows])
-        dev_pair = max(dev_pair, float(np.abs(traj_pair.states[rows] - exact).max()))
-        min_eig = min(min_eig, float(min_eigenvalue(exact).min()))
+        dev_pair = np.maximum(dev_pair, np.abs(traj_pair.states[rows] - exact).max())
+        min_eig = np.minimum(min_eig, min_eigenvalue(exact).min())
 
     # decay rates from the reservoir correlation function
     param_sets = [cfg.params_a]
@@ -307,8 +308,8 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     for p in param_sets:
         quad_minus = [rate_from_spectral_density(p, p.omega0 - p.omega, float(t)) for t in rate_times]
         quad_plus = [rate_from_spectral_density(p, p.omega0 + p.omega, float(t)) for t in rate_times]
-        dev_minus = max(dev_minus, float(np.abs(quad_minus - decay_rate_minus(p, rate_times)).max()))
-        dev_plus = max(dev_plus, float(np.abs(quad_plus - decay_rate_plus(p, rate_times)).max()))
+        dev_minus = np.maximum(dev_minus, np.abs(quad_minus - decay_rate_minus(p, rate_times)).max())
+        dev_plus = np.maximum(dev_plus, np.abs(quad_plus - decay_rate_plus(p, rate_times)).max())
 
     min_ip = float(integrated_rate_plus(cfg.params_a, np.linspace(0.0, cfg.t_max, 2001)).min())
 
@@ -320,16 +321,16 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
 
     report = {
         "preset": preset,
-        "max_dev_single": dev_single,
-        "max_dev_pair": dev_pair,
-        "max_dev_rate_minus": dev_minus,
-        "max_dev_rate_plus": dev_plus,
-        "min_eigenvalue": min_eig,
+        "max_dev_single": float(dev_single),
+        "max_dev_pair": float(dev_pair),
+        "max_dev_rate_minus": float(dev_minus),
+        "max_dev_rate_plus": float(dev_plus),
+        "min_eigenvalue": float(min_eig),
         "min_integrated_rate_plus": min_ip,
         "max_dev_concurrence_routes": dev_routes,
-        "pass_oracle": max(dev_single, dev_pair) <= 1e-6,
-        "pass_rates": max(dev_minus, dev_plus) <= 1e-8,
-        "pass_positivity": min_eig >= -1e-8,
+        "pass_oracle": bool(dev_single <= 1e-6 and dev_pair <= 1e-6),
+        "pass_rates": bool(dev_minus <= 1e-8 and dev_plus <= 1e-8),
+        "pass_positivity": bool(min_eig >= -1e-8),
     }
     report["passed"] = bool(
         report["pass_oracle"] and report["pass_rates"] and report["pass_positivity"]

@@ -7,11 +7,14 @@ routes to the decay rates. The step-bound plumbing is exercised too,
 since a silently under-resolved oracle would pass everything.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from djcm import integrate
 from djcm.evolution import propagate_pair
 from djcm.integrate import (
     IntegratorConfig,
@@ -78,6 +81,110 @@ def test_step_bound_enforced():
     with pytest.raises(ValueError, match="stability bound"):
         integrate_single(_uniform3(), P, cfg)
     with pytest.raises(ValueError, match="stability bound"):
+        integrate_pair(initial_state(1.0), P, P, cfg)
+
+
+def _random_matrix(rng, d: int) -> np.ndarray:
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def _dressed_h(p: JcmParams) -> np.ndarray:
+    return np.diag([0.5 * p.omega0 + p.omega, 0.5 * p.omega0 - p.omega, -0.5 * p.omega0])
+
+
+def _master_equation(rho, h, jumps, rates):
+    """-i[h, rho] + sum_c g_c (S rho S^dag / 2 - {S^dag S, rho} / 4), written out."""
+    out = -1j * (h @ rho - rho @ h)
+    for s, g in zip(jumps, rates):
+        proj = s.conj().T @ s
+        out = out + g * (0.5 * s @ rho @ s.conj().T - 0.25 * (proj @ rho + rho @ proj))
+    return out
+
+
+def test_superoperator_matches_matrix_form():
+    # fig3c-like memory (lam < 2 omega) with different partitions; the
+    # times include instants where the upper-branch rate is negative
+    p_a = JcmParams(omega0=0.3, omega=1.0, gamma0=1.0, lam=0.05)
+    p_b = JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2)
+    times = np.array([0.0, 1.7, 2.0, 4.9, 11.3])
+    assert (decay_rate_plus(p_a, times) < 0.0).any()
+    assert (decay_rate_plus(p_b, times) < 0.0).any()
+    rng = np.random.default_rng(5)
+    s_plus = np.zeros((3, 3))
+    s_plus[2, 0] = 1.0
+    s_minus = np.zeros((3, 3))
+    s_minus[2, 1] = 1.0
+    eye = np.eye(3)
+
+    single = integrate._single_generator(p_a).at(times)
+    pair = integrate._pair_generator(p_a, p_b).at(times)
+    for i, t in enumerate(times):
+        rho = _random_matrix(rng, 3)
+        expected = _master_equation(
+            rho, _dressed_h(p_a), (s_plus, s_minus),
+            (decay_rate_plus(p_a, t), decay_rate_minus(p_a, t)),
+        )
+        got = (single[i] @ rho.reshape(-1)).reshape(3, 3)
+        assert np.abs(got - expected).max() < 1e-13 * max(1.0, np.abs(expected).max())
+
+        rho = _random_matrix(rng, 9)
+        h = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
+        jumps = (np.kron(s_plus, eye), np.kron(s_minus, eye), np.kron(eye, s_plus), np.kron(eye, s_minus))
+        rates = (
+            decay_rate_plus(p_a, t), decay_rate_minus(p_a, t),
+            decay_rate_plus(p_b, t), decay_rate_minus(p_b, t),
+        )
+        expected = _master_equation(rho, h, jumps, rates)
+        got = (pair[i] @ rho.reshape(-1)).reshape(9, 9)
+        assert np.abs(got - expected).max() < 1e-13 * max(1.0, np.abs(expected).max())
+
+
+def test_oracle_stays_independent_of_the_closed_form():
+    # the oracle may share the raw rates and parameter type with the closed
+    # form, nothing else: no coefficients, transfer tensors or propagation
+    tree = ast.parse(Path(integrate.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("djcm")):
+            module = (node.module or "").removeprefix("djcm.")
+            imported |= {f"{module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("djcm") for alias in node.names)
+    assert imported == {
+        "linalg.validate_density_matrix",
+        "propagator.JcmParams",
+        "propagator.decay_rate_minus",
+        "propagator.decay_rate_plus",
+    }
+
+
+def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
+    cfg = oracle_config(1.0, 11, P, P_MEMORY)
+    assert cfg.n_steps() > 100 and cfg.record_every > 1
+    rho0 = initial_state(0.7)
+    whole = integrate_pair(rho0, P, P_MEMORY, cfg)
+    assert cfg.n_steps() <= integrate._RATE_CHUNK  # one chunk
+    monkeypatch.setattr(integrate, "_RATE_CHUNK", 7)  # divides neither n nor record_every
+    chunked = integrate_pair(rho0, P, P_MEMORY, cfg)
+    assert np.array_equal(chunked.times, whole.times)
+    assert len(chunked) == 11
+    assert np.array_equal(chunked.states[0], rho0)
+    assert np.abs(chunked.states - whole.states).max() < 1e-15
+
+
+def _nan_after_one(rate):
+    def patched(p, t):
+        return np.where(np.asarray(t) > 1.0, math.nan, rate(p, t))
+
+    return patched
+
+
+def test_nan_rates_fail_the_trace_guard(monkeypatch):
+    monkeypatch.setattr(integrate, "decay_rate_plus", _nan_after_one(decay_rate_plus))
+    cfg = oracle_config(3.0, 31, P)
+    with pytest.raises(RuntimeError, match="lost trace"):
+        integrate_single(_uniform3(), P, cfg)
+    with pytest.raises(RuntimeError, match="lost trace"):
         integrate_pair(initial_state(1.0), P, P, cfg)
 
 

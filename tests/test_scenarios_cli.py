@@ -6,13 +6,18 @@ exactly. CLI tests go through main() with argv lists, checking exit
 codes and parsing everything printed.
 """
 
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import djcm
+from djcm import scenarios
 from djcm.cli import main
 from djcm.entanglement import STEADY_PURITY_THRESHOLD, concurrence, concurrence_x_state
 from djcm.evolution import propagate_pair, propagate_pairs
@@ -248,6 +253,25 @@ def test_validation_report_clean_run():
     }
 
 
+@pytest.mark.parametrize("oracle", ["integrate_single", "integrate_pair"])
+def test_validation_report_fails_on_a_nan_deviation(monkeypatch, oracle):
+    # a NaN coherence keeps the trace, so only the deviation gate can catch it
+    integrate = getattr(scenarios, oracle)
+
+    def poisoned(*args):
+        traj = integrate(*args)
+        states = traj.states.copy()
+        states[-1, 0, 1] = math.nan
+        return dataclasses.replace(traj, states=states)
+
+    monkeypatch.setattr(scenarios, oracle, poisoned)
+    report = validation_report(_small_cfg(), preset=None)
+    key = "max_dev_single" if oracle == "integrate_single" else "max_dev_pair"
+    assert math.isnan(report[key])
+    assert report["pass_oracle"] is False
+    assert report["passed"] is False
+
+
 def test_transient_threshold_fig4_scan():
     # acceptance 09's scan: 301 samples (more than one chunk), dr=0.01;
     # the affine-in-r combination must land where a direct re-propagation
@@ -461,6 +485,29 @@ def test_cli_validate_with_config(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["passed"] is True
     assert report["preset"] is None
+
+
+def test_cli_exits_141_when_the_reader_closes_the_pipe(tmp_path):
+    # far more CSV than a pipe buffers, so the writer is still running
+    # when the reader goes away, as with `djcm evolve ... | head -2`
+    env = dict(os.environ, PYTHONPATH=str(Path(djcm.__file__).parents[1]))
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "djcm.cli", "evolve", "--omega", "1", "--lambda", "5",
+             "--r", "1", "--tmax", "15", "--samples", "20000"],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        try:
+            assert proc.stdout.readline().decode().startswith("gamma0_t,")
+            proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()
+    stderr = err_path.read_text()
+    assert "error:" not in stderr
+    assert "Traceback" not in stderr
 
 
 def test_cli_entry_point_installed():
