@@ -12,13 +12,15 @@ A JSON config file (--config) may supply any ScenarioConfig field,
 including different parameters for the two partitions; command-line
 flags override file values and always set both partitions alike.
 
-Exit codes: 0 success, 1 validation failure, 2 bad input, 141 when the
-reader of standard output closes it early (as `djcm evolve ... | head` does).
+Exit codes: 0 success, 1 validation failure, 2 bad input, 3 internal
+error (a propagation or oracle guard tripped), 141 when the reader of
+standard output closes it early (as `djcm evolve ... | head` does).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -34,6 +36,7 @@ from .scenarios import (
     PRESET_NAMES,
     SWEEP_PRESETS,
     SWEEP_PURITIES,
+    TARGET_ORDER,
     config_from_dict,
     evolve_concurrences,
     preset_config,
@@ -89,7 +92,7 @@ def _merged_config(args: argparse.Namespace):
     return config_from_dict(merged)
 
 
-def _gnuplot_snippet(paths: list[str]) -> str:
+def _gnuplot_snippet(paths: list[str], columns: int) -> str:
     lines = [
         "set datafile separator ','",
         "set key autotitle columnhead",
@@ -97,22 +100,25 @@ def _gnuplot_snippet(paths: list[str]) -> str:
         "set ylabel 'concurrence'",
     ]
     for path in paths:
-        lines.append(f"plot for [col=2:7] '{path}' using 1:col with lines")
+        lines.append(f"plot for [col=2:{columns}] '{path}' using 1:col with lines")
     return "\n".join(lines) + "\n"
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    records = evolve_concurrences(cfg)
-    writer = write_csv if cfg.output == "csv" else lambda recs, fh: write_json(cfg, recs, fh)
+    table = evolve_concurrences(cfg)
     if args.out is None:
-        writer(records, sys.stdout)
+        out = contextlib.nullcontext(sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            writer(records, fh)
+        out = open(args.out, "w", encoding="utf-8", newline="\n")
+    with out as fh:
+        if cfg.output == "csv":
+            write_csv(table, fh, cfg.targets)
+        else:
+            write_json(cfg, table, fh)
     if args.gnuplot_snippet:
         target = str(args.out) if args.out is not None else "data.csv"
-        sys.stderr.write(_gnuplot_snippet([target]))
+        sys.stderr.write(_gnuplot_snippet([target], table.shape[1]))
     return 0
 
 
@@ -126,13 +132,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
     written = []
     for filename, cfg in jobs:
         path = outdir / filename
-        records = evolve_concurrences(cfg)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(records, fh)
+            write_csv(evolve_concurrences(cfg), fh, cfg.targets)
         written.append(str(path))
         print(path)
     if args.gnuplot_snippet:
-        sys.stderr.write(_gnuplot_snippet(written))
+        sys.stderr.write(_gnuplot_snippet(written, 1 + len(TARGET_ORDER)))
     return 0
 
 
@@ -232,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow, an input is out of range ({exc})", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ with levels ordered (|+>, |->, |0g>) per partition.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .linalg import validate_density_matrix
@@ -30,23 +28,14 @@ __all__ = [
 ]
 
 
-def propagate_pairs(
-    r0: np.ndarray,
-    p_a: JcmParams,
-    p_b: JcmParams,
-    times: np.ndarray,
-    *,
-    check_positivity: bool = False,
-) -> np.ndarray:
+def propagate_pairs(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, times: np.ndarray) -> np.ndarray:
     """Propagate a 9x9 dressed-basis two-partition state to each of T times.
 
     Returns the (T,9,9) stack of states. The partitions may carry
     different parameters. Trace and Hermiticity drift are checked on
-    every state of the stack. With check_positivity=True the smallest
-    eigenvalue of each state is inspected and one warning is emitted if
-    any falls below -1e-8: the second-order master equation is not
-    guaranteed completely positive, and silently clamping would corrupt
-    downstream entanglement values.
+    every state of the stack; positivity is not (the second-order master
+    equation is not guaranteed completely positive, and `validate`
+    reports the smallest eigenvalue through `min_eigenvalue`).
     """
     r0 = validate_density_matrix(r0, 9, name="r0")
     times = np.asarray(times, dtype=float)
@@ -66,32 +55,15 @@ def propagate_pairs(
     defect = np.abs(out - out.conj().transpose(0, 2, 1)).max(initial=0.0)
     if not defect <= 1e-10:
         raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
-    if check_positivity and len(times):
-        low = min_eigenvalue(out)
-        worst = int(low.argmin())
-        if low[worst] < -1e-8:
-            warnings.warn(
-                f"state eigenvalue {low[worst]:.3e} below -1e-8 at t={times[worst]:g} "
-                "(second-order master equation is not completely positive)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     return out
 
 
-def propagate_pair(
-    r0: np.ndarray,
-    p_a: JcmParams,
-    p_b: JcmParams,
-    t: float,
-    *,
-    check_positivity: bool = False,
-) -> np.ndarray:
+def propagate_pair(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, t: float) -> np.ndarray:
     """Propagate a 9x9 dressed-basis two-partition state from 0 to t.
 
     The one-time case of `propagate_pairs`, with the same checks.
     """
-    return propagate_pairs(r0, p_a, p_b, np.array([t]), check_positivity=check_positivity)[0]
+    return propagate_pairs(r0, p_a, p_b, np.array([t]))[0]
 
 
 def identical_partitions(p_a: JcmParams, p_b: JcmParams, rtol: float = 1e-12) -> bool:

@@ -34,6 +34,7 @@ to the result, so a whole time grid is evaluated in one call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,22 @@ class JcmParams:
             raise ValueError(f"omega must be non-negative, got {self.omega}")
         if self.omega0 < 0.0:
             raise ValueError(f"omega0 must be non-negative, got {self.omega0}")
+        # The rate formulas divide by lam, 4*omega^2 + lam^2 and their
+        # product, and scale by gamma0/lam: a zero or subnormal divisor or
+        # an infinite ratio turns the rates into inf or NaN.
+        denom = 4.0 * self.omega * self.omega + self.lam * self.lam
+        for name, divisor in (
+            ("lam", self.lam),
+            ("4*omega^2 + lam^2", denom),
+            ("lam*(4*omega^2 + lam^2)", self.lam * denom),
+        ):
+            if divisor < sys.float_info.min:
+                raise ValueError(
+                    f"omega={self.omega!r}, lam={self.lam!r}: the divisor {name} "
+                    f"= {divisor!r} is zero or subnormal"
+                )
+        if math.isinf(self.gamma0 / self.lam):
+            raise ValueError(f"gamma0={self.gamma0!r}, lam={self.lam!r}: gamma0/lam is infinite")
 
     @property
     def markovian(self) -> bool:
@@ -89,22 +106,17 @@ class JcmParams:
         return self.lam > 2.0 * self.gamma0
 
 
-def _lib(t: float | np.ndarray):
-    """Check that t is finite and non-negative; return the library to evaluate it with.
+def _times(t: float | np.ndarray) -> np.ndarray:
+    """t as a float array, checked finite and non-negative.
 
-    `math` for a scalar t, `numpy` for an array of times: both spell exp,
-    expm1, sin and cos alike, so every formula below is written once.
-    A scalar t thus gives a plain float at math-module speed; callers
-    with many times (the RK4 oracle included) pass them as one array.
+    A float t gives a 0-d array, so the functions below return numpy
+    scalars for one time and arrays of t's shape for an array of times.
     """
-    if isinstance(t, np.ndarray):
-        ok = (t >= 0.0) & (t < math.inf)
-        if not ok.all():
-            raise ValueError(f"time must be finite and non-negative, got {t[~ok].flat[0]}")
-        return np
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time must be finite and non-negative, got {t}")
-    return math
+    t = np.asarray(t, dtype=float)
+    ok = (t >= 0.0) & (t < math.inf)
+    if not ok.all():
+        raise ValueError(f"time must be finite and non-negative, got {t[~ok].flat[0]}")
+    return t
 
 
 def decay_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
@@ -113,17 +125,17 @@ def decay_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
     Like every rate and exponent here, t may be a float or a numpy array
     of times; the result has the shape of t.
     """
-    lib = _lib(t)
-    return -p.gamma0 * lib.expm1(-p.lam * t)
+    t = _times(t)
+    return -p.gamma0 * np.expm1(-p.lam * t)
 
 
 def decay_rate_plus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
     """Decay rate of the upper dressed level (reservoir detuned by 2*omega)."""
-    lib = _lib(t)
+    t = _times(t)
     lam, om = p.lam, p.omega
     pref = p.gamma0 * lam**2 / (4.0 * om**2 + lam**2)
-    osc = (2.0 * om / lam) * lib.sin(2.0 * om * t) - lib.cos(2.0 * om * t)
-    return pref * (1.0 + osc * lib.exp(-lam * t))
+    osc = (2.0 * om / lam) * np.sin(2.0 * om * t) - np.cos(2.0 * om * t)
+    return pref * (1.0 + osc * np.exp(-lam * t))
 
 
 def integrated_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
@@ -132,20 +144,20 @@ def integrated_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.nda
     expm1 keeps the digits when lam*t is tiny: there the exponent is
     about gamma0*lam*t^2/2, and exp(-lam*t) - 1 would cancel to rounding.
     """
-    lib = _lib(t)
-    return p.gamma0 * t + (p.gamma0 / p.lam) * lib.expm1(-p.lam * t)
+    t = _times(t)
+    return p.gamma0 * t + (p.gamma0 / p.lam) * np.expm1(-p.lam * t)
 
 
 def integrated_rate_plus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
     """Integral of decay_rate_plus from 0 to t."""
-    lib = _lib(t)
+    t = _times(t)
     lam, om = p.lam, p.omega
     denom = 4.0 * om**2 + lam**2
-    decay = lib.exp(-lam * t)
+    decay = np.exp(-lam * t)
     bracket = (
         t
-        - 4.0 * om * decay * lib.sin(2.0 * om * t) / denom
-        + (lam**2 - 4.0 * om**2) * (decay * lib.cos(2.0 * om * t) - 1.0) / (lam * denom)
+        - 4.0 * om * decay * np.sin(2.0 * om * t) / denom
+        + (lam**2 - 4.0 * om**2) * (decay * np.cos(2.0 * om * t) - 1.0) / (lam * denom)
     )
     return p.gamma0 * lam**2 / denom * bracket
 
@@ -158,25 +170,23 @@ class PropagatorCoeffs:
 
         rho'_11 = a11 rho_11          rho'_12 = a12 rho_12
         rho'_22 = a22 rho_22          rho'_13 = a13 rho_13
-        rho'_33 = rho_33 + a33_11 rho_11 + a33_22 rho_22
+        rho'_33 = rho_33 + (1 - a11) rho_11 + (1 - a22) rho_22
         rho'_23 = a23 rho_23
 
-    with the lower triangle fixed by Hermiticity. The diagonal feed
-    coefficients satisfy a33_11 = 1 - a11 and a33_22 = 1 - a22, which is
-    exactly trace preservation. `transfer_tensor` turns these numbers into
-    the full map, conjugate entries included. Every field has the shape
-    of the time `t` it was evaluated at: scalars for one time, arrays for
-    a time array.
+    with the lower triangle fixed by Hermiticity. The ground level gains
+    exactly what the dressed populations lose, which is trace
+    preservation. `transfer_tensor` turns these numbers into the full
+    map, conjugate and ground-feed entries included. Every field has the
+    shape of the time `t` it was evaluated at: scalars for one time,
+    arrays for a time array.
     """
 
-    t: float | np.ndarray
+    t: np.ndarray
     a11: float | np.ndarray
     a12: complex | np.ndarray
     a13: complex | np.ndarray
     a22: float | np.ndarray
     a23: complex | np.ndarray
-    a33_11: float | np.ndarray
-    a33_22: float | np.ndarray
 
 
 def coefficients(p: JcmParams, t: float | np.ndarray) -> PropagatorCoeffs:
@@ -190,28 +200,19 @@ def coefficients(p: JcmParams, t: float | np.ndarray) -> PropagatorCoeffs:
     involved) plus the free phase of the corresponding energy gap. At t=0
     the map is the identity.
     """
-    lib = _lib(t)
+    t = _times(t)
     ip = integrated_rate_plus(p, t)
     im = integrated_rate_minus(p, t)
 
     def phase(freq):  # exp(-i freq t)
-        return lib.cos(freq * t) - 1j * lib.sin(freq * t)
+        return np.cos(freq * t) - 1j * np.sin(freq * t)
 
-    a11 = lib.exp(-0.5 * ip)
-    a22 = lib.exp(-0.5 * im)
-    a12 = phase(2.0 * p.omega) * lib.exp(-0.25 * (ip + im))
-    a13 = phase(p.omega0 + p.omega) * lib.exp(-0.25 * ip)
-    a23 = phase(p.omega0 - p.omega) * lib.exp(-0.25 * im)
-    return PropagatorCoeffs(
-        t=t,
-        a11=a11,
-        a12=a12,
-        a13=a13,
-        a22=a22,
-        a23=a23,
-        a33_11=1.0 - a11,
-        a33_22=1.0 - a22,
-    )
+    a11 = np.exp(-0.5 * ip)
+    a22 = np.exp(-0.5 * im)
+    a12 = phase(2.0 * p.omega) * np.exp(-0.25 * (ip + im))
+    a13 = phase(p.omega0 + p.omega) * np.exp(-0.25 * ip)
+    a23 = phase(p.omega0 - p.omega) * np.exp(-0.25 * im)
+    return PropagatorCoeffs(t=t, a11=a11, a12=a12, a13=a13, a22=a22, a23=a23)
 
 
 def transfer_tensor(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
@@ -226,8 +227,8 @@ def transfer_tensor(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
     tensor = np.zeros(np.shape(c.t) + (3, 3, 3, 3), dtype=complex)
     tensor[..., 0, 0, 0, 0] = c.a11
     tensor[..., 1, 1, 1, 1] = c.a22
-    tensor[..., 2, 2, 0, 0] = c.a33_11
-    tensor[..., 2, 2, 1, 1] = c.a33_22
+    tensor[..., 2, 2, 0, 0] = 1.0 - c.a11
+    tensor[..., 2, 2, 1, 1] = 1.0 - c.a22
     tensor[..., 2, 2, 2, 2] = 1.0
     for (i, j), a in (((0, 1), c.a12), ((0, 2), c.a13), ((1, 2), c.a23)):
         tensor[..., i, j, i, j] = a

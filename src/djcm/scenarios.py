@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .states import ReductionTarget, initial_state, reduce_stack
 
 __all__ = [
     "ScenarioConfig",
-    "ConcurrenceRecord",
     "TARGET_ORDER",
     "CSV_HEADER",
     "PRESET_NAMES",
@@ -44,7 +43,6 @@ __all__ = [
     "preset_config",
     "time_grid",
     "evolve_concurrences",
-    "column",
     "write_csv",
     "write_json",
     "config_to_dict",
@@ -61,13 +59,18 @@ TARGET_ORDER = (
     ReductionTarget.Ab,
     ReductionTarget.aB,
 )
-CSV_HEADER = "gamma0_t," + ",".join("C_" + t.value for t in TARGET_ORDER)
 
-_ALL_TARGETS = tuple(TARGET_ORDER)
 
-# Largest time grid a config may ask for. The trajectory is returned as
-# one ConcurrenceRecord per sample, about 620 bytes each with all six
-# targets, so this caps the record list near 0.6 GB.
+def _column_names(targets: tuple[ReductionTarget, ...]) -> list[str]:
+    """Header of a trajectory table: the time, then one column per target."""
+    return ["gamma0_t", *("C_" + t.value for t in targets)]
+
+
+CSV_HEADER = ",".join(_column_names(TARGET_ORDER))
+
+# Largest time grid a config may ask for. The trajectory is one float
+# table of 8*(1 + k) bytes per sample for k targets, so this caps it at
+# 56 MB with all six.
 MAX_SAMPLES = 10**6
 
 # Time samples propagated, reduced and measured together. Large enough
@@ -86,7 +89,7 @@ class ScenarioConfig:
     purity: float
     t_max: float
     samples: int
-    targets: tuple[ReductionTarget, ...] = _ALL_TARGETS
+    targets: tuple[ReductionTarget, ...] = TARGET_ORDER
     output: str = "csv"
 
     def __post_init__(self) -> None:
@@ -102,14 +105,6 @@ class ScenarioConfig:
             raise ValueError(f"output must be 'csv' or 'json', got {self.output!r}")
         if not self.targets:
             raise ValueError("targets must not be empty")
-
-
-@dataclass(frozen=True)
-class ConcurrenceRecord:
-    """Concurrence of every requested subsystem pair at one time."""
-
-    t: float
-    values: dict[ReductionTarget, float]
 
 
 # (coupling omega, reservoir width lam, purity, t_max); purity None marks
@@ -161,40 +156,40 @@ def _target_blocks(cfg: ScenarioConfig, r0: np.ndarray, times: np.ndarray) -> np
     return reduce_stack(propagate_pairs(r0, cfg.params_a, cfg.params_b, times))
 
 
-def evolve_concurrences(cfg: ScenarioConfig) -> list[ConcurrenceRecord]:
-    """Analytical trajectory of all requested pair concurrences."""
+def evolve_concurrences(cfg: ScenarioConfig) -> np.ndarray:
+    """Analytical trajectory of all requested pair concurrences.
+
+    Returns a (samples, 1 + len(cfg.targets)) table: column 0 is the time
+    grid, the others the concurrences in `cfg.targets` order.
+    """
     r0 = initial_state(cfg.purity)
-    grid = time_grid(cfg)
     blocks = [target.block for target in cfg.targets]
-    values = np.empty((len(grid), len(blocks)))
-    for rows in _chunks(len(grid)):
-        values[rows] = concurrence_x_state(_target_blocks(cfg, r0, grid[rows])[:, blocks])
-    return [
-        ConcurrenceRecord(t=t, values=dict(zip(cfg.targets, row)))
-        for t, row in zip(grid.tolist(), values.tolist())
-    ]
+    table = np.empty((cfg.samples, 1 + len(blocks)))
+    table[:, 0] = time_grid(cfg)
+    for rows in _chunks(cfg.samples):
+        table[rows, 1:] = concurrence_x_state(_target_blocks(cfg, r0, table[rows, 0])[:, blocks])
+    return table
 
 
-def column(records: Iterable[ConcurrenceRecord], target: ReductionTarget) -> np.ndarray:
-    return np.array([rec.values[target] for rec in records])
+def write_csv(
+    table: np.ndarray, fh: IO[str], targets: tuple[ReductionTarget, ...] = TARGET_ORDER
+) -> None:
+    """The time, then one column per target; 12 significant digits, LF line endings."""
+    names = _column_names(targets)
+    if table.ndim != 2 or table.shape[1] != len(names):
+        raise ValueError(f"table of shape {table.shape} does not match columns {names}")
+    fh.write(",".join(names) + "\n")
+    row = ",".join(["%.12g"] * len(names)) + "\n"
+    for rows in _chunks(len(table)):
+        block = table[rows]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_csv(records: Iterable[ConcurrenceRecord], fh: IO[str]) -> None:
-    """Fixed six-column schema, 12 significant digits, LF line endings."""
-    fh.write(CSV_HEADER + "\n")
-    for rec in records:
-        cells = [f"{rec.t:.12g}"]
-        cells += [f"{rec.values[t]:.12g}" for t in TARGET_ORDER]
-        fh.write(",".join(cells) + "\n")
-
-
-def write_json(cfg: ScenarioConfig, records: Iterable[ConcurrenceRecord], fh: IO[str]) -> None:
+def write_json(cfg: ScenarioConfig, table: np.ndarray, fh: IO[str]) -> None:
+    names = _column_names(cfg.targets)
     payload = {
         "config": config_to_dict(cfg),
-        "records": [
-            {"gamma0_t": rec.t, **{"C_" + t.value: rec.values[t] for t in cfg.targets}}
-            for rec in records
-        ],
+        "records": [dict(zip(names, row, strict=True)) for row in table.tolist()],
     }
     json.dump(payload, fh, indent=2)
     fh.write("\n")

@@ -72,8 +72,8 @@ from djcm.propagator import (
     integrated_rate_plus,
 )
 from djcm.scenarios import (
+    TARGET_ORDER,
     ScenarioConfig,
-    column,
     evolve_concurrences,
     preset_config,
     transient_entanglement_threshold,
@@ -114,8 +114,12 @@ def _report(num: int, ok: bool, detail: str) -> str:
 
 
 @functools.cache
-def _records(preset: str):
+def _table(preset: str) -> np.ndarray:
     return evolve_concurrences(preset_config(preset))
+
+
+def _column(table: np.ndarray, target: ReductionTarget) -> np.ndarray:
+    return table[:, 1 + TARGET_ORDER.index(target)]
 
 
 def _six_at(p: JcmParams, t: float, r: float = 1.0) -> dict[ReductionTarget, float]:
@@ -230,14 +234,14 @@ def _local_peaks_where_atom_peak_near(target: float, tol: float):
 
 def test_criterion_04_moderate_coupling_peak_values():
     cfg = preset_config("fig2a")
-    records = _records("fig2a")
-    atoms = column(records, ReductionTarget.AB)
-    local = column(records, ReductionTarget.Aa)
+    table = _table("fig2a")
+    atoms = _column(table, ReductionTarget.AB)
+    local = _column(table, ReductionTarget.Aa)
     peak_ab_atoms = float(atoms.max())
     peak_local = float(local.max())
-    start_cavities = records[0].values[ReductionTarget.ab]
+    start_cavities = _column(table, ReductionTarget.ab)[0]
 
-    times = np.array([rec.t for rec in records])
+    times = table[:, 0]
     p = cfg.params_a
     oracle_atoms, oracle_local = _amplitude_concurrences(p.omega, [p.lam], times, p.gamma0)
     oracle_dev = max(
@@ -275,9 +279,9 @@ def test_criterion_04_moderate_coupling_peak_values():
 
 
 def test_criterion_05_atom_cavity_pairs_indistinguishable_when_pure():
-    records = _records("fig2a")
-    cols = [column(records, tgt) for tgt in (ReductionTarget.Aa, ReductionTarget.Bb,
-                                             ReductionTarget.Ab, ReductionTarget.aB)]
+    table = _table("fig2a")
+    cols = [_column(table, tgt) for tgt in (ReductionTarget.Aa, ReductionTarget.Bb,
+                                            ReductionTarget.Ab, ReductionTarget.aB)]
     worst = 0.0
     for other in cols[1:]:
         worst = max(worst, float(np.abs(cols[0] - other).max()))
@@ -406,15 +410,12 @@ def test_criterion_09_entanglement_thresholds():
 def test_criterion_10_everything_decays_in_the_decaying_regimes():
     ends = {}
     for name in ("fig2a", "fig3a"):
-        records = _records(name)
-        ends[name] = max(records[-1].values[tgt] for tgt in ReductionTarget)
+        ends[name] = float(_table(name)[-1, 1:].max())
 
     def first_below(name, level=0.05):
-        records = _records(name)
-        for rec in records:
-            if rec.values[ReductionTarget.ab] < level:
-                return rec.t
-        return math.inf
+        table = _table(name)
+        below = np.flatnonzero(_column(table, ReductionTarget.ab) < level)
+        return float(table[below[0], 0]) if len(below) else math.inf
 
     t2a = first_below("fig2a")
     t3a = first_below("fig3a")

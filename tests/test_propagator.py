@@ -9,6 +9,7 @@ propagation coefficients together.
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ def test_params_validation():
             values = {"omega0": 0.0, "omega": 1.0, "gamma0": 1.0, "lam": 1.0, field: bad}
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 JcmParams(**values)
+    # each divisor of the rate formulas, and gamma0/lam, on its own
+    for omega, gamma0, lam, culprit in (
+        (1.0, 1.0, 1e-310, "divisor lam ="),
+        (0.0, 1.0, 1e-160, "divisor 4*omega^2 + lam^2 ="),
+        (0.0, 1.0, 1e-110, "divisor lam*(4*omega^2 + lam^2) ="),
+        (1.0, 1e10, 1e-300, "gamma0/lam is infinite"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(culprit)):
+            JcmParams(omega0=0.0, omega=omega, gamma0=gamma0, lam=lam)
+    # small but normal: the memoryless limit stays reachable
+    assert JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=1e-300).lam == 1e-300
 
 
 def test_markovian_classifier():
@@ -82,8 +94,8 @@ def test_negative_time_rejected():
 
 def test_time_arrays_match_scalar_calls():
     # an array of times is the batch axis: shape in, shape out, and each
-    # entry equals the scalar call up to the last bits of the libm/numpy
-    # elementary functions
+    # entry equals the scalar call up to the last bits of numpy's
+    # vectorised elementary functions
     ts = np.linspace(0.0, 12.0, 25).reshape(5, 5)
     for p in REGIMES:
         for fn in (decay_rate_minus, decay_rate_plus, integrated_rate_minus, integrated_rate_plus):
@@ -96,7 +108,7 @@ def test_time_arrays_match_scalar_calls():
         for k, t in enumerate(ts[0]):
             assert np.abs(tensor[k] - transfer_tensor(p, float(t))).max() < 1e-15
         c = coefficients(p, ts)
-        assert c.a12.shape == c.a33_22.shape == ts.shape
+        assert c.a12.shape == c.a22.shape == ts.shape
     assert np.shape(coefficients(MARKOV, 1.0).a12) == ()
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
     rho[0, 2] = rho[2, 0] = 0.1
@@ -176,7 +188,6 @@ def test_coefficients_identity_at_t0():
     c = coefficients(MARKOV, 0.0)
     assert c.a11 == 1.0 and c.a22 == 1.0
     assert c.a12 == 1.0 + 0.0j and c.a13 == 1.0 + 0.0j and c.a23 == 1.0 + 0.0j
-    assert c.a33_11 == 0.0 and c.a33_22 == 0.0
     identity = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
     assert np.array_equal(transfer_tensor(MARKOV, 0.0), identity)
 
@@ -189,8 +200,10 @@ def test_coefficients_algebra():
             assert abs(abs(c.a12) - math.sqrt(c.a11 * c.a22)) < 1e-13
             assert abs(c.a13) == pytest.approx(math.exp(-0.25 * integrated_rate_plus(p, t)))
             assert abs(c.a23) == pytest.approx(math.exp(-0.25 * integrated_rate_minus(p, t)))
-            assert c.a33_11 == pytest.approx(1.0 - c.a11)
-            assert c.a33_22 == pytest.approx(1.0 - c.a22)
+            # trace preservation: sum_i T[i,i,k,l] is delta_kl, the ground
+            # level collecting what the dressed populations lose
+            trace_map = np.einsum("iikl->kl", transfer_tensor(p, t))
+            assert np.abs(trace_map - np.eye(3)).max() < 1e-15
 
 
 def test_coefficients_phases():

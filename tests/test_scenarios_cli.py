@@ -1,4 +1,4 @@
-"""Presets, trajectory records, file formats, and the command line.
+"""Presets, trajectory tables, file formats, and the command line.
 
 Output formats are contract surfaces: the CSV header, the 12-digit
 formatting, LF endings, and byte-identical reruns are all asserted
@@ -12,12 +12,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import djcm
-from djcm import scenarios
+from djcm import integrate, scenarios
 from djcm.cli import main
 from djcm.entanglement import STEADY_PURITY_THRESHOLD, concurrence, concurrence_x_state
 from djcm.evolution import propagate_pair, propagate_pairs
@@ -29,8 +31,8 @@ from djcm.scenarios import (
     PRESET_NAMES,
     SWEEP_PRESETS,
     SWEEP_PURITIES,
+    TARGET_ORDER,
     ScenarioConfig,
-    column,
     config_from_dict,
     config_to_dict,
     evolve_concurrences,
@@ -136,17 +138,20 @@ def test_time_grid():
 # ------------------------------------------------------------- trajectories
 
 
+def _col(target: ReductionTarget) -> int:
+    """Column of `target` in a table evolved with the default targets."""
+    return 1 + TARGET_ORDER.index(target)
+
+
 def test_evolve_concurrences_start_values():
-    records = evolve_concurrences(_small_cfg())
-    assert len(records) == 31
-    first = records[0]
-    assert first.t == 0.0
-    assert first.values[ReductionTarget.ab] == pytest.approx(1.0, abs=1e-10)
-    assert first.values[ReductionTarget.AB] == pytest.approx(0.0, abs=1e-10)
-    assert first.values[ReductionTarget.Aa] == pytest.approx(0.0, abs=1e-10)
-    col = column(records, ReductionTarget.ab)
-    assert col[0] == first.values[ReductionTarget.ab]
-    assert len(col) == 31
+    table = evolve_concurrences(_small_cfg())
+    assert table.shape == (31, 7)
+    first = table[0]
+    assert first[0] == 0.0
+    assert first[_col(ReductionTarget.ab)] == pytest.approx(1.0, abs=1e-10)
+    assert first[_col(ReductionTarget.AB)] == pytest.approx(0.0, abs=1e-10)
+    assert first[_col(ReductionTarget.Aa)] == pytest.approx(0.0, abs=1e-10)
+    assert np.array_equal(table[:, 0], time_grid(_small_cfg()))
 
 
 def test_evolve_chunks_agree_with_per_sample_pipeline():
@@ -154,18 +159,18 @@ def test_evolve_chunks_agree_with_per_sample_pipeline():
     # match propagate_pair + reduce_all + the spectral concurrence sample
     # by sample, across the chunk boundary
     cfg = _small_cfg(purity=0.9, samples=CHUNK_ROWS + 2, t_max=8.0)
-    records = evolve_concurrences(cfg)
+    table = evolve_concurrences(cfg)
     r0 = initial_state(cfg.purity)
-    for rec in records[CHUNK_ROWS - 3:] + records[:3]:
-        pairs = reduce_all(propagate_pair(r0, P, P, rec.t))
+    for row in np.concatenate([table[CHUNK_ROWS - 3:], table[:3]]):
+        pairs = reduce_all(propagate_pair(r0, P, P, row[0]))
         for target in ReductionTarget:
-            assert rec.values[target] == pytest.approx(concurrence(pairs[target]), abs=1e-8)
+            assert row[_col(target)] == pytest.approx(concurrence(pairs[target]), abs=1e-8)
 
 
 def test_evolve_respects_target_selection():
     cfg = _small_cfg(targets=(ReductionTarget.AB,), samples=5)
-    records = evolve_concurrences(cfg)
-    assert set(records[0].values) == {ReductionTarget.AB}
+    table = evolve_concurrences(cfg)
+    assert table.shape == (5, 2)
 
 
 def test_local_pair_trajectory_matches_derived_closed_form():
@@ -173,25 +178,26 @@ def test_local_pair_trajectory_matches_derived_closed_form():
     # concurrence reduces to a two-exponent expression; the full pipeline
     # (9x9 propagation, reduction, spectral concurrence) must hit it
     cfg = _small_cfg(samples=61)
-    records = evolve_concurrences(cfg)
-    for rec in records:
-        ep = math.exp(-0.5 * integrated_rate_plus(P, rec.t))
-        em = math.exp(-0.5 * integrated_rate_minus(P, rec.t))
+    table = evolve_concurrences(cfg)
+    for row in table:
+        t = row[0]
+        ep = math.exp(-0.5 * integrated_rate_plus(P, t))
+        em = math.exp(-0.5 * integrated_rate_minus(P, t))
         expected = 0.25 * math.sqrt(
-            (ep - em) ** 2 + 4.0 * ep * em * math.sin(2.0 * P.omega * rec.t) ** 2
+            (ep - em) ** 2 + 4.0 * ep * em * math.sin(2.0 * P.omega * t) ** 2
         )
-        assert rec.values[ReductionTarget.Aa] == pytest.approx(expected, abs=5e-9)
-        assert rec.values[ReductionTarget.Bb] == pytest.approx(expected, abs=5e-9)
+        assert row[_col(ReductionTarget.Aa)] == pytest.approx(expected, abs=5e-9)
+        assert row[_col(ReductionTarget.Bb)] == pytest.approx(expected, abs=5e-9)
 
 
 # ------------------------------------------------------------------ output
 
 
 def test_csv_format(tmp_path):
-    records = evolve_concurrences(_small_cfg(samples=5))
+    table = evolve_concurrences(_small_cfg(samples=5))
     path = tmp_path / "out.csv"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_csv(records, fh)
+        write_csv(table, fh)
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode("utf-8").splitlines()
@@ -230,6 +236,24 @@ def test_json_output(tmp_path):
     rec = payload["records"][0]
     assert set(rec) == {"gamma0_t", "C_AB", "C_ab"}
     assert rec["C_ab"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_evolve_and_write_peak_memory_stays_near_the_table(tmp_path):
+    # the trajectory is one float table; the pipeline and the writer work
+    # chunk by chunk, so a long run allocates little beyond the table
+    # itself (about 1.6x here, 1.2x at 200k samples; one Python object per
+    # sample, as before, took 14x)
+    cfg = _small_cfg(samples=50_000, t_max=20.0)
+    tracemalloc.start()
+    try:
+        table = evolve_concurrences(cfg)
+        with open(tmp_path / "long.csv", "w", encoding="utf-8", newline="\n") as fh:
+            write_csv(table, fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 50_000 * 7 * 8
+    assert peak < 2.5 * table.nbytes
 
 
 # -------------------------------------------------------------- validation
@@ -418,6 +442,71 @@ def test_cli_evolve_tiny_lambda_is_the_memoryless_limit(capsys):
         assert float(row[0]) == 1.0
         c_ab.append(float(row[1]))
     assert abs(c_ab[0] - c_ab[1]) <= 1e-5
+
+
+def test_cli_evolve_target_subset_csv(tmp_path, capsys):
+    # a targets subset narrows the CSV to the time and the chosen columns,
+    # whose cells are those of the full run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "params_a": {"omega": 1, "lam": 5}, "purity": 1, "t_max": 1, "samples": 3,
+        "targets": ["AB"],
+    }), encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    subset = capsys.readouterr().out.splitlines()
+    assert subset[0] == "gamma0_t,C_AB"
+    argv = ["evolve", "--omega", "1", "--lambda", "5", "--r", "1", "--tmax", "1", "--samples", "3"]
+    assert main(argv) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert len(subset) == len(full) == 4
+    assert [line.split(",") for line in subset] == [line.split(",")[:2] for line in full]
+
+
+_FLAGS = ["--r", "1", "--tmax", "10", "--samples", "5"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("evolve", ["--omega", "1", "--lambda", "1e-310", *_FLAGS], None),
+        ("evolve", ["--omega", "0", "--lambda", "1e-320", *_FLAGS], None),
+        ("evolve", [], {"params_a": {"omega": 1, "lam": 1e-300, "gamma0": 1e10}}),
+        ("validate", [], {"params_a": {"omega": 1, "lam": 1e-310}}),
+    ],
+    ids=["lam-subnormal", "omega-zero-lam-subnormal", "gamma0-over-lam-inf", "validate"],
+)
+def test_cli_rejects_vanishing_lambda(tmp_path, capsys, command, flags, config):
+    # the rate formulas divide by lam and 4 omega^2 + lam^2 and scale by
+    # gamma0/lam; a subnormal divisor or an infinite ratio is bad input
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({**config, "purity": 1, "t_max": 1, "samples": 3}), encoding="utf-8"
+        )
+        flags = ["--config", str(cfg_path)]
+    assert main([command, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "lam=" in captured.err
+
+
+def test_cli_internal_error_exits_3(monkeypatch, tmp_path, capsys):
+    # a tripped guard inside the program is neither bad input (2) nor a
+    # failed validation (1)
+    rate = integrate.decay_rate_plus
+    monkeypatch.setattr(
+        integrate,
+        "decay_rate_plus",
+        lambda p, t: np.where(np.asarray(t) > 1.0, math.nan, rate(p, t)),
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(_small_cfg())), encoding="utf-8")
+    assert main(["validate", "--config", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "lost trace" in captured.err
 
 
 def test_cli_figure(tmp_path, capsys):
