@@ -26,7 +26,6 @@ from .integrate import (
 )
 from .propagator import (
     JcmParams,
-    PropagatorCoeffs,
     coefficients,
     decay_rate_minus,
     decay_rate_plus,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "JcmParams",
-    "PropagatorCoeffs",
     "coefficients",
     "decay_rate_minus",
     "decay_rate_plus",

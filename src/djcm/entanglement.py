@@ -16,10 +16,12 @@ Yu and Eberly,
 
     C = 2 max(0, |rho_23| - sqrt(rho_11 rho_44), |rho_14| - sqrt(rho_22 rho_33)),
 
-is exact. `concurrence_x_state` evaluates it on whole stacks of states
-and is the route the trajectory pipeline uses; the spectral
-`concurrence` works for any state and is kept as the independent
-checker (tests, and the route comparison in the validation report).
+is exact. `concurrence_x_entries` evaluates it from the eight X entries
+alone; the trajectory pipeline feeds it those entries straight from
+`evolution.pair_x_entries`. `concurrence_x_state` applies it to whole
+4x4 states after checking they are X-shaped; the spectral `concurrence`
+works for any state and is kept as the independent checker (tests, and
+the route comparison in the validation report).
 
 The module also builds the quasi-steady reduced states reached once the
 short-lived dressed branch has decayed while the long-lived one has not:
@@ -40,6 +42,8 @@ from .states import PairState
 __all__ = [
     "concurrence",
     "concurrence_x_state",
+    "concurrence_x_entries",
+    "X_ENTRIES",
     "steady_pair_nonlocal",
     "steady_pair_local",
     "steady_concurrence_nonlocal",
@@ -51,8 +55,13 @@ _SPIN_FLIP = np.zeros((4, 4))
 _SPIN_FLIP[0, 3] = _SPIN_FLIP[3, 0] = -1.0
 _SPIN_FLIP[1, 2] = _SPIN_FLIP[2, 1] = 1.0
 
-# Entries an X-structured state may carry: the diagonal and the anti-diagonal.
-_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+# Entries an X-structured state may carry, in the order `concurrence_x_entries`
+# takes them: the diagonal, the inner coherence pair {|10>,|01>}, then the
+# outer pair {|11>,|00>}.
+X_ENTRIES = ((0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1), (0, 3), (3, 0))
+_X_ROWS, _X_COLS = (list(axis) for axis in zip(*X_ENTRIES))
+_X_PATTERN = np.zeros((4, 4), dtype=bool)
+_X_PATTERN[_X_ROWS, _X_COLS] = True
 
 # Smallest cavity purity for which the cross-partition quasi-steady state
 # is entangled: the positive root of 63 r^2 + 50 r - 49 = 0.
@@ -104,8 +113,20 @@ def concurrence_x_state(p: PairState | np.ndarray) -> float | np.ndarray:
             f"{label} is not X-structured (stray entry {stray[k]:.3e} at "
             f"({k[-2]}, {k[-1]})); use concurrence() instead"
         )
-    d = rho.diagonal(axis1=-2, axis2=-1).real
-    inner_c, outer_c = np.abs(rho[..., 1, 2]), np.abs(rho[..., 0, 3])
+    c = concurrence_x_entries(rho[..., _X_ROWS, _X_COLS])
+    return float(c) if rho.ndim == 2 else c
+
+
+def concurrence_x_entries(x: np.ndarray) -> np.ndarray:
+    """Yu-Eberly concurrence from the X entries of states, (..., 8) -> (...).
+
+    The last axis holds each state's entries in `X_ENTRIES` order; the
+    caller vouches that every other entry is zero and the state is
+    Hermitian. Raises ValueError when a state has an eigenvalue below
+    -1e-8.
+    """
+    d = x[..., :4].real
+    inner_c, outer_c = np.abs(x[..., 4]), np.abs(x[..., 6])
     # the two 2x2 blocks {|10>,|01>} and {|11>,|00>} carry the spectrum
     low = np.minimum(
         0.5 * (d[..., 1] + d[..., 2]) - np.hypot(0.5 * (d[..., 1] - d[..., 2]), inner_c),
@@ -118,8 +139,7 @@ def concurrence_x_state(p: PairState | np.ndarray) -> float | np.ndarray:
         inner_c - np.sqrt(d[..., 0] * d[..., 3]),
         outer_c - np.sqrt(d[..., 1] * d[..., 2]),
     )
-    c = np.where(best > 0.0, 2.0 * best, 0.0)
-    return float(c) if rho.ndim == 2 else c
+    return np.where(best > 0.0, 2.0 * best, 0.0)
 
 
 def steady_pair_nonlocal(r: float, labels: tuple[str, str] = ("A", "B")) -> PairState:

@@ -11,16 +11,32 @@ products, one per partition.
 
 Basis ordering is A-major: index 3*i + j holds (A level i, B level j)
 with levels ordered (|+>, |->, |0g>) per partition.
+
+Production never builds that 9x9 stack. Each partition's map is
+sum_k c_k(t) PATTERNS[k], so the pair state is bilinear in the two
+coefficient vectors; the six reductions are linear in the state and the
+initial state is affine in the purity r. Every X entry of every
+reduction at time t is therefore
+
+    outer(c_A(t), c_B(t)) @ K(r),   K(r) = r K1 + (1 - r) K0,
+
+with K1 and K0 fixed tables built once at import from the patterns,
+`initial_state(1)`/`initial_state(0)` and the reduction table.
+`pair_x_entries` evaluates that product; `propagate_pairs` stays as the
+independent 9x9 route that checks it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .entanglement import X_ENTRIES
 from .linalg import validate_density_matrix
-from .propagator import JcmParams, transfer_tensor
+from .propagator import PATTERNS, JcmParams, coefficients, transfer_tensor
+from .states import _REDUCTION, initial_state
 
 __all__ = [
+    "pair_x_entries",
     "propagate_pair",
     "propagate_pairs",
     "identical_partitions",
@@ -56,6 +72,75 @@ def propagate_pairs(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, times: np.nd
     if not defect <= 1e-10:
         raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
     return out
+
+
+def _x_kernel() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient pairs (k, l) that matter, and K1, K0 restricted to them.
+
+    Row k*n + l of the full table is the image of c_A[k] c_B[l] = 1 (all
+    other products 0) under propagation, the six reductions and the 9x9
+    trace. Only the rows with a nonzero entry are kept, and only the
+    columns of the X entries (8 per reduction, in `X_ENTRIES` order)
+    plus the trace. Every other reduction entry must come out exactly
+    zero, which proves once that each reduction is X-shaped.
+    """
+    n = len(PATTERNS)
+    e = PATTERNS.reshape(n, 9, 9)  # (k, (a c), (m o))
+    r0 = np.stack([initial_state(1.0), initial_state(0.0)])
+    r0 = r0.reshape(2, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).reshape(2, 1, 9, 9)  # (m o), (n q)
+    # out[s, (k a c), (l b d)] = sum E_k[(a c), (m o)] R_s[(m o), (n q)] E_l[(b d), (n q)]
+    out = (e @ r0).reshape(2, n * 9, 9) @ e.reshape(n * 9, 9).T
+    out = out.reshape(2, n, 3, 3, n, 3, 3).transpose(0, 1, 4, 2, 5, 3, 6).reshape(2, n * n, 81)
+    table = out @ np.vstack([_REDUCTION, np.eye(9).reshape(1, 81)]).T  # (2, n*n, 97)
+
+    x_cols = [16 * block + 4 * i + j for block in range(6) for i, j in X_ENTRIES]
+    stray = np.delete(table[:, :, :96], x_cols, axis=2)
+    if np.any(stray != 0.0):
+        raise RuntimeError("a reduction of the pair state is not X-shaped; internal error")
+    kernel = table[:, :, x_cols + [96]]
+    pairs = np.flatnonzero(np.any(kernel != 0.0, axis=(0, 2)))
+    return pairs // n, pairs % n, kernel[0, pairs], kernel[1, pairs]
+
+
+_PAIR_A, _PAIR_B, _K1, _K0 = _x_kernel()
+
+
+def _pair_rows(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) -> np.ndarray:
+    """(T, 49): the kernel applied to the coefficient products, unchecked.
+
+    The first 48 columns are the X entries, 8 per reduction; the last is
+    the trace of the 9x9 pair state.
+    """
+    c_a = coefficients(p_a, times)
+    c_b = c_a if p_b == p_a else coefficients(p_b, times)
+    return (c_a[..., _PAIR_A] * c_b[..., _PAIR_B]) @ (r * _K1 + (1.0 - r) * _K0)
+
+
+def pair_x_entries(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) -> np.ndarray:
+    """X entries of the six reductions of the pair state at each of T times.
+
+    The pair starts in `initial_state(r)`. Returns a (T, 6, 8) complex
+    array: the second axis runs over `ReductionTarget`, the last over
+    `X_ENTRIES`. Every other entry of every reduction is exactly zero
+    (checked once, when the kernel is built). Trace and Hermiticity
+    drift are checked with the bounds of `propagate_pairs`.
+    """
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"purity r must lie in [0,1], got {r}")
+    rows = _pair_rows(p_a, p_b, r, times)
+    drift = np.abs(rows[..., -1] - 1.0).max(initial=0.0)
+    if not drift <= 1e-12:
+        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
+    x = rows[..., :-1].reshape(rows.shape[:-1] + (6, 8))
+    # np.max, unlike max(), carries a NaN through to the gate
+    defect = np.max([
+        np.abs(x[..., :4].imag).max(initial=0.0),
+        np.abs(x[..., 4] - x[..., 5].conj()).max(initial=0.0),
+        np.abs(x[..., 6] - x[..., 7].conj()).max(initial=0.0),
+    ])
+    if not defect <= 1e-10:
+        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
+    return x
 
 
 def propagate_pair(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, t: float) -> np.ndarray:

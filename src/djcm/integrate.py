@@ -27,6 +27,7 @@ from .propagator import JcmParams, decay_rate_minus, decay_rate_plus
 
 __all__ = [
     "IntegratorConfig",
+    "MAX_RK4_STEPS",
     "Trajectory",
     "max_step",
     "oracle_config",
@@ -37,6 +38,11 @@ __all__ = [
 ]
 
 _STEP_FRACTION = 1.0 / 50.0  # of the fastest timescale present
+
+# Most RK4 steps `oracle_config` plans for one trajectory. The largest
+# preset (fig2c/fig4) needs 225,000; a plan beyond this cap would run for
+# minutes or hours, so it is refused before anything is integrated.
+MAX_RK4_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,19 @@ def oracle_config(
     The step divides the recording interval exactly and sits a factor
     `safety` below the admissible bound, which keeps even the stiff
     presets well inside the tolerance the oracle comparisons use.
+    Raises ValueError when that plan exceeds MAX_RK4_STEPS.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     spacing = t_end / (samples - 1)
     bound = max_step(*params) / safety
     per_interval = max(1, math.ceil(spacing / bound - 1e-12))
+    planned = per_interval * (samples - 1)
+    if planned > MAX_RK4_STEPS:
+        raise ValueError(
+            f"the RK4 oracle would need {planned} steps, more than the cap of "
+            f"{MAX_RK4_STEPS}; shorten t_max or slow the fastest timescale"
+        )
     return IntegratorConfig(
         step=spacing / per_interval, t_end=t_end, record_every=per_interval
     )

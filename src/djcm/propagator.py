@@ -23,8 +23,9 @@ explicit entry-wise function of the two accumulated exponents
 
     I_plus(t) = integral of rate_plus,   I_minus(t) = integral of rate_minus.
 
-`coefficients` evaluates the independent entries of that entry-wise map,
-`transfer_tensor` assembles them into the map itself, and
+`coefficients` evaluates the weights c_k(t) of that entry-wise map over
+11 fixed matrix units (`PATTERNS`), `transfer_tensor` contracts the two
+into the map itself, and
 `propagate_single` applies it to a 3x3 dressed-basis state. The pair map
 in `evolution` is the tensor product of two such maps. Each of these
 takes one time or a numpy array of times; an array adds a leading axis
@@ -43,11 +44,11 @@ from .linalg import validate_density_matrix
 
 __all__ = [
     "JcmParams",
-    "PropagatorCoeffs",
     "decay_rate_minus",
     "decay_rate_plus",
     "integrated_rate_minus",
     "integrated_rate_plus",
+    "PATTERNS",
     "coefficients",
     "transfer_tensor",
     "propagate_single",
@@ -133,9 +134,11 @@ def decay_rate_plus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
     """Decay rate of the upper dressed level (reservoir detuned by 2*omega)."""
     t = _times(t)
     lam, om = p.lam, p.omega
-    pref = p.gamma0 * lam**2 / (4.0 * om**2 + lam**2)
-    osc = (2.0 * om / lam) * np.sin(2.0 * om * t) - np.cos(2.0 * om * t)
-    return pref * (1.0 + osc * np.exp(-lam * t))
+    # gamma0 lam / (4 omega^2 + lam^2) times (lam + (2 omega sin - lam cos) e^(-lam t)):
+    # never forms 2 omega / lam, which overflows when lam is tiny
+    scale = p.gamma0 * lam / (4.0 * om**2 + lam**2)
+    osc = 2.0 * om * np.sin(2.0 * om * t) - lam * np.cos(2.0 * om * t)
+    return scale * lam + scale * osc * np.exp(-lam * t)
 
 
 def integrated_rate_minus(p: JcmParams, t: float | np.ndarray) -> float | np.ndarray:
@@ -162,9 +165,34 @@ def integrated_rate_plus(p: JcmParams, t: float | np.ndarray) -> float | np.ndar
     return p.gamma0 * lam**2 / denom * bracket
 
 
-@dataclass(frozen=True)
-class PropagatorCoeffs:
-    """Entry-wise propagation coefficients of one partition.
+# The single-partition map is sum over k of c_k(t) PATTERNS[k]: each
+# pattern is one (3,3,3,3) matrix unit rho'[i, j] <- rho[m, n], listed
+# as (i, j, m, n) in the order of the coefficient vector.
+_PATTERN_ENTRIES = (
+    (0, 0, 0, 0),  # a11
+    (1, 1, 1, 1),  # a22
+    (0, 1, 0, 1),  # a12
+    (0, 2, 0, 2),  # a13
+    (1, 2, 1, 2),  # a23
+    (1, 0, 1, 0),  # conj(a12)
+    (2, 0, 2, 0),  # conj(a13)
+    (2, 1, 2, 1),  # conj(a23)
+    (2, 2, 0, 0),  # 1 - a11
+    (2, 2, 1, 1),  # 1 - a22
+    (2, 2, 2, 2),  # 1
+)
+PATTERNS = np.zeros((len(_PATTERN_ENTRIES), 3, 3, 3, 3))
+for _k, _entry in enumerate(_PATTERN_ENTRIES):
+    PATTERNS[(_k, *_entry)] = 1.0
+
+
+def coefficients(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
+    """Coefficient vector of a single partition's map at time t (float or array).
+
+    Returns a complex array of shape t.shape + (11,), the weights of
+    `PATTERNS` in the order
+
+        (a11, a22, a12, a13, a23, conj(a12), conj(a13), conj(a23), 1 - a11, 1 - a22, 1)
 
     In the dressed-basis ordering (|+>, |->, |0g>) the propagated state is
 
@@ -175,22 +203,7 @@ class PropagatorCoeffs:
 
     with the lower triangle fixed by Hermiticity. The ground level gains
     exactly what the dressed populations lose, which is trace
-    preservation. `transfer_tensor` turns these numbers into the full
-    map, conjugate and ground-feed entries included. Every field has the
-    shape of the time `t` it was evaluated at: scalars for one time,
-    arrays for a time array.
-    """
-
-    t: np.ndarray
-    a11: float | np.ndarray
-    a12: complex | np.ndarray
-    a13: complex | np.ndarray
-    a22: float | np.ndarray
-    a23: complex | np.ndarray
-
-
-def coefficients(p: JcmParams, t: float | np.ndarray) -> PropagatorCoeffs:
-    """Propagation coefficients of a single partition at time t (float or array).
+    preservation.
 
     Populations of the dressed levels decay as exp(-I_plus/2) and
     exp(-I_minus/2): each dressed level holds half a cavity photon, so it
@@ -212,28 +225,21 @@ def coefficients(p: JcmParams, t: float | np.ndarray) -> PropagatorCoeffs:
     a12 = phase(2.0 * p.omega) * np.exp(-0.25 * (ip + im))
     a13 = phase(p.omega0 + p.omega) * np.exp(-0.25 * ip)
     a23 = phase(p.omega0 - p.omega) * np.exp(-0.25 * im)
-    return PropagatorCoeffs(t=t, a11=a11, a12=a12, a13=a13, a22=a22, a23=a23)
+    coherences = (a12, a13, a23)
+    return np.stack(
+        [a11, a22, *coherences, *np.conj(coherences), 1.0 - a11, 1.0 - a22, np.ones_like(a11)],
+        axis=-1,
+    )
 
 
 def transfer_tensor(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
     """Single-partition map at time t as a (3,3,3,3) tensor, or (T,3,3,3,3) for T times.
 
-    rho'[i, j] = sum over k, l of T[i, j, k, l] rho[k, l]. Every entry of
-    the map is written here, the conjugate coherence factors of the lower
-    triangle included; the ground population keeps weight 1 and collects
-    what the dressed populations lose.
+    rho'[i, j] = sum over k, l of T[i, j, k, l] rho[k, l]: the coefficient
+    vector contracted with `PATTERNS`.
     """
     c = coefficients(p, t)
-    tensor = np.zeros(np.shape(c.t) + (3, 3, 3, 3), dtype=complex)
-    tensor[..., 0, 0, 0, 0] = c.a11
-    tensor[..., 1, 1, 1, 1] = c.a22
-    tensor[..., 2, 2, 0, 0] = 1.0 - c.a11
-    tensor[..., 2, 2, 1, 1] = 1.0 - c.a22
-    tensor[..., 2, 2, 2, 2] = 1.0
-    for (i, j), a in (((0, 1), c.a12), ((0, 2), c.a13), ((1, 2), c.a23)):
-        tensor[..., i, j, i, j] = a
-        tensor[..., j, i, j, i] = np.conj(a)
-    return tensor
+    return (c @ PATTERNS.reshape(len(PATTERNS), 81)).reshape(c.shape[:-1] + (3, 3, 3, 3))
 
 
 def propagate_single(rho0: np.ndarray, p: JcmParams, t: float | np.ndarray) -> np.ndarray:

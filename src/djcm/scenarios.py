@@ -19,8 +19,8 @@ from typing import IO
 
 import numpy as np
 
-from .entanglement import concurrence, concurrence_x_state
-from .evolution import identical_partitions, min_eigenvalue, propagate_pairs
+from .entanglement import concurrence, concurrence_x_entries
+from .evolution import identical_partitions, min_eigenvalue, pair_x_entries, propagate_pairs
 from .integrate import integrate_pair, integrate_single, oracle_config, rate_from_spectral_density
 from .propagator import (
     JcmParams,
@@ -75,8 +75,9 @@ MAX_SAMPLES = 10**6
 
 # Time samples propagated, reduced and measured together. Large enough
 # that numpy, not the interpreter, does the work; small enough that the
-# (CHUNK_ROWS, 9, 9) stacks and their temporaries stay well under a
-# megabyte, whatever the grid size.
+# (CHUNK_ROWS, 57) coefficient products, the (CHUNK_ROWS, 9, 9) stacks of
+# the checking route and their temporaries stay well under a megabyte,
+# whatever the grid size.
 CHUNK_ROWS = 256
 
 
@@ -151,23 +152,18 @@ def _chunks(n: int):
     return (slice(i, min(i + CHUNK_ROWS, n)) for i in range(0, n, CHUNK_ROWS))
 
 
-def _target_blocks(cfg: ScenarioConfig, r0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """(T, 6, 4, 4) reductions of the state propagated from r0 to each time."""
-    return reduce_stack(propagate_pairs(r0, cfg.params_a, cfg.params_b, times))
-
-
 def evolve_concurrences(cfg: ScenarioConfig) -> np.ndarray:
     """Analytical trajectory of all requested pair concurrences.
 
     Returns a (samples, 1 + len(cfg.targets)) table: column 0 is the time
     grid, the others the concurrences in `cfg.targets` order.
     """
-    r0 = initial_state(cfg.purity)
     blocks = [target.block for target in cfg.targets]
     table = np.empty((cfg.samples, 1 + len(blocks)))
     table[:, 0] = time_grid(cfg)
     for rows in _chunks(cfg.samples):
-        table[rows, 1:] = concurrence_x_state(_target_blocks(cfg, r0, table[rows, 0])[:, blocks])
+        x = pair_x_entries(cfg.params_a, cfg.params_b, cfg.purity, table[rows, 0])
+        table[rows, 1:] = concurrence_x_entries(x[:, blocks])
     return table
 
 
@@ -268,10 +264,11 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     accumulated upper-branch exponent. Pass thresholds: 1e-6 for the
     trajectory comparisons, 1e-8 for the rates, -1e-8 for eigenvalues.
 
-    `max_dev_concurrence_routes` is the largest gap between the X-state
-    closed form (the production route) and the spectral route over all
-    six pairs at up to 101 evenly spaced grid times. It is reported, not
-    gated.
+    `max_dev_concurrence_routes` is the largest gap between the
+    production route (X entries from coefficient space, Yu-Eberly closed
+    form) and the spectral concurrence of the reduced 9x9 states, over
+    all six pairs at up to 101 evenly spaced grid times. It is reported,
+    not gated.
     """
     # single partition, all-entries state
     single0 = _uniform_single_state()
@@ -310,9 +307,11 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
 
     # the two concurrence routes at up to 101 evenly spaced grid times
     rows = np.unique(np.linspace(0, cfg.samples - 1, min(cfg.samples, 101)).round().astype(int))
-    blocks = _target_blocks(cfg, pair0, time_grid(cfg)[rows])
+    times = time_grid(cfg)[rows]
+    blocks = reduce_stack(propagate_pairs(pair0, cfg.params_a, cfg.params_b, times))
     spectral = np.array([[concurrence(b) for b in row] for row in blocks])
-    dev_routes = float(np.abs(concurrence_x_state(blocks) - spectral).max())
+    kernel = concurrence_x_entries(pair_x_entries(cfg.params_a, cfg.params_b, cfg.purity, times))
+    dev_routes = float(np.abs(kernel - spectral).max())
 
     report = {
         "preset": preset,
@@ -347,19 +346,20 @@ def transient_entanglement_threshold(
     quasi-steady threshold constant.
 
     The initial state is affine in r, and so are propagation and
-    reduction: the `target` block at purity r is r*A + (1-r)*B, with A
-    and B the blocks of the r=1 and r=0 trajectories, each propagated
-    once per chunk of the grid.
+    reduction: the `target` X entries at purity r are r*A + (1-r)*B, with
+    A and B those of the r=1 and r=0 trajectories, each evaluated once
+    per chunk of the grid.
     """
     purities = [min(1.0, k * dr) for k in range(int(round(1.0 / dr)) + 1)]
     grid = time_grid(cfg)
-    bell, noise = initial_state(1.0), initial_state(0.0)
     first = len(purities)  # index of the smallest entangling purity found so far
     for rows in _chunks(len(grid)):
-        a = _target_blocks(cfg, bell, grid[rows])[:, target.block]
-        b = _target_blocks(cfg, noise, grid[rows])[:, target.block]
+        a, b = (
+            pair_x_entries(cfg.params_a, cfg.params_b, r, grid[rows])[:, target.block]
+            for r in (1.0, 0.0)
+        )
         for k, r in enumerate(purities[:first]):
-            if (concurrence_x_state(r * a + (1.0 - r) * b) > eps).any():
+            if (concurrence_x_entries(r * a + (1.0 - r) * b) > eps).any():
                 first = k
                 break
     return purities[first] if first < len(purities) else None

@@ -76,6 +76,14 @@ def test_oracle_config_lands_on_grid():
         oracle_config(15.0, 1, P)
 
 
+def test_oracle_config_refuses_plans_beyond_the_step_cap():
+    # the largest preset plans 225,000 steps; omega = 1e10 would plan ~3e10
+    assert oracle_config(30.0, 1501, P_STIFF, P_STIFF).n_steps() == 225_000
+    fast = JcmParams(omega0=0.0, omega=1e10, gamma0=1.0, lam=5.0)
+    with pytest.raises(ValueError, match=f"cap of {integrate.MAX_RK4_STEPS}"):
+        oracle_config(15.0, 1501, fast)
+
+
 def test_step_bound_enforced():
     cfg = IntegratorConfig(step=0.1, t_end=1.0)  # way above the bound for P
     with pytest.raises(ValueError, match="stability bound"):

@@ -1,17 +1,20 @@
 """Properties of the time-batched trajectory pipeline over random inputs.
 
-Production propagates a whole time grid at once (`propagate_pairs`),
-reduces it through the precomputed table (`reduce_stack`) and measures
-it with the X-state closed form (`concurrence_x_state`). These
-properties tie that path to the one-time pipeline with the spectral
-concurrence, and check the structure every reduction of this model has.
+Production evaluates the X entries of all six reductions for a whole
+time grid straight from the partitions' coefficient vectors
+(`pair_x_entries`) and measures them with the Yu-Eberly closed form
+(`concurrence_x_entries`). These properties tie that path to the 9x9
+route (`propagate_pairs`, `reduce_stack`) and to the one-time pipeline
+with the spectral concurrence, and check the structure every reduction
+of this model has.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from djcm.entanglement import concurrence, concurrence_x_state
-from djcm.evolution import propagate_pair, propagate_pairs
+from djcm import evolution
+from djcm.entanglement import X_ENTRIES, concurrence, concurrence_x_entries
+from djcm.evolution import pair_x_entries, propagate_pair, propagate_pairs
 from djcm.propagator import JcmParams
 from djcm.states import ReductionTarget, initial_state, reduce_all, reduce_stack
 
@@ -34,9 +37,26 @@ _GRID = st.builds(
 _SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
 
+_X_ROWS, _X_COLS = (list(axis) for axis in zip(*X_ENTRIES))
+
+
 def _batched(p_a, p_b, r, times):
-    blocks = reduce_stack(propagate_pairs(initial_state(r), p_a, p_b, times))
-    return blocks, concurrence_x_state(blocks)
+    x = pair_x_entries(p_a, p_b, r, times)
+    blocks = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
+    blocks[..., _X_ROWS, _X_COLS] = x
+    return blocks, concurrence_x_entries(x)
+
+
+@_SETTINGS
+@given(p_a=_PARAMS, p_b=_PARAMS, r=_PURITY, times=_GRID)
+def test_kernel_x_entries_match_the_reduced_9x9_stack(p_a, p_b, r, times):
+    assume(p_a != p_b)  # so neither coefficient vector stands in for the other
+    states = propagate_pairs(initial_state(r), p_a, p_b, times)
+    blocks = reduce_stack(states)
+    assert np.abs(pair_x_entries(p_a, p_b, r, times) - blocks[..., _X_ROWS, _X_COLS]).max() <= 1e-12
+    assert np.abs(blocks[..., ~_X]).max() <= 1e-12
+    trace = evolution._pair_rows(p_a, p_b, r, times)[..., -1]
+    assert np.abs(trace - np.trace(states, axis1=1, axis2=2)).max() <= 1e-12
 
 
 @_SETTINGS

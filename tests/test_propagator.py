@@ -24,10 +24,14 @@ from djcm.propagator import (
     propagate_single,
     transfer_tensor,
 )
+from djcm.scenarios import PRESET_NAMES, preset_config, time_grid
 
 MARKOV = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
 NONMARKOV = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=0.05)
 STIFF = JcmParams(omega0=0.0, omega=50.0, gamma0=1.0, lam=5.0)
+
+# positions of the independent entries in the coefficient vector
+A11, A22, A12, A13, A23 = range(5)
 REGIMES = (MARKOV, NONMARKOV, STIFF)
 
 
@@ -108,8 +112,8 @@ def test_time_arrays_match_scalar_calls():
         for k, t in enumerate(ts[0]):
             assert np.abs(tensor[k] - transfer_tensor(p, float(t))).max() < 1e-15
         c = coefficients(p, ts)
-        assert c.a12.shape == c.a22.shape == ts.shape
-    assert np.shape(coefficients(MARKOV, 1.0).a12) == ()
+        assert c[..., A12].shape == c[..., A22].shape == ts.shape
+    assert np.shape(coefficients(MARKOV, 1.0)[A12]) == ()
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
     rho[0, 2] = rho[2, 0] = 0.1
     stack = propagate_single(rho, NONMARKOV, ts[1])
@@ -166,6 +170,28 @@ def test_degenerate_coupling_collapses_branches():
         )
 
 
+def test_upper_rate_stays_finite_when_lam_is_tiny():
+    # the textbook form scales by 2 omega / lam, which overflows here
+    p = JcmParams(omega0=0.0, omega=1e10, gamma0=1.0, lam=1e-300)
+    assert np.isfinite(decay_rate_plus(p, [0.0, 1e-12, 1.0])).all()
+
+
+def test_upper_rate_matches_the_textbook_form_on_the_presets():
+    def textbook(p, t):
+        lam, om = p.lam, p.omega
+        pref = p.gamma0 * lam**2 / (4.0 * om**2 + lam**2)
+        osc = (2.0 * om / lam) * np.sin(2.0 * om * t) - np.cos(2.0 * om * t)
+        return pref * (1.0 + osc * np.exp(-lam * t))
+
+    # relative to the largest rate on the grid: near its zeros the rate is
+    # a difference of O(1) terms, where no form keeps relative digits
+    for name in PRESET_NAMES:
+        cfg = preset_config(name)
+        t = time_grid(cfg)
+        ref = textbook(cfg.params_a, t)
+        assert np.abs(decay_rate_plus(cfg.params_a, t) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_integrated_minus_late_time_asymptote():
     # for lam*t >> 1 the exponent grows linearly with offset gamma0/lam
     p = MARKOV
@@ -186,8 +212,8 @@ def test_integrated_minus_matches_quadrature_of_rate():
 
 def test_coefficients_identity_at_t0():
     c = coefficients(MARKOV, 0.0)
-    assert c.a11 == 1.0 and c.a22 == 1.0
-    assert c.a12 == 1.0 + 0.0j and c.a13 == 1.0 + 0.0j and c.a23 == 1.0 + 0.0j
+    assert c[A11] == 1.0 and c[A22] == 1.0
+    assert c[A12] == 1.0 + 0.0j and c[A13] == 1.0 + 0.0j and c[A23] == 1.0 + 0.0j
     identity = np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
     assert np.array_equal(transfer_tensor(MARKOV, 0.0), identity)
 
@@ -197,9 +223,9 @@ def test_coefficients_algebra():
         for t in (0.4, 1.7, 6.0):
             c = coefficients(p, t)
             # coherence magnitude is the geometric mean of the populations
-            assert abs(abs(c.a12) - math.sqrt(c.a11 * c.a22)) < 1e-13
-            assert abs(c.a13) == pytest.approx(math.exp(-0.25 * integrated_rate_plus(p, t)))
-            assert abs(c.a23) == pytest.approx(math.exp(-0.25 * integrated_rate_minus(p, t)))
+            assert abs(abs(c[A12]) - math.sqrt(c[A11].real * c[A22].real)) < 1e-13
+            assert abs(c[A13]) == pytest.approx(math.exp(-0.25 * integrated_rate_plus(p, t)))
+            assert abs(c[A23]) == pytest.approx(math.exp(-0.25 * integrated_rate_minus(p, t)))
             # trace preservation: sum_i T[i,i,k,l] is delta_kl, the ground
             # level collecting what the dressed populations lose
             trace_map = np.einsum("iikl->kl", transfer_tensor(p, t))
@@ -210,20 +236,20 @@ def test_coefficients_phases():
     p = JcmParams(omega0=2.0, omega=1.0, gamma0=1.0, lam=5.0)
     t = 0.9
     c = coefficients(p, t)
-    assert cmath.phase(c.a12) == pytest.approx(cmath.phase(cmath.exp(-2j * p.omega * t)))
-    assert cmath.phase(c.a13) == pytest.approx(
+    assert cmath.phase(c[A12]) == pytest.approx(cmath.phase(cmath.exp(-2j * p.omega * t)))
+    assert cmath.phase(c[A13]) == pytest.approx(
         cmath.phase(cmath.exp(-1j * (p.omega0 + p.omega) * t))
     )
-    assert cmath.phase(c.a23) == pytest.approx(
+    assert cmath.phase(c[A23]) == pytest.approx(
         cmath.phase(cmath.exp(-1j * (p.omega0 - p.omega) * t))
     )
 
 
 def test_long_time_coefficients_vanish():
     c = coefficients(MARKOV, 200.0)
-    assert c.a22 < 1e-12  # resonant branch fully decayed
-    assert c.a11 < 1e-12  # detuned branch decayed too at these parameters
-    assert abs(c.a12) < 1e-12
+    assert c[A22].real < 1e-12  # resonant branch fully decayed
+    assert c[A11].real < 1e-12  # detuned branch decayed too at these parameters
+    assert abs(c[A12]) < 1e-12
 
 
 def test_propagate_single_identity_and_fixed_point():

@@ -491,6 +491,26 @@ def test_cli_rejects_vanishing_lambda(tmp_path, capsys, command, flags, config):
     assert "lam=" in captured.err
 
 
+def test_cli_validate_refuses_an_oversized_rk4_plan(monkeypatch, tmp_path, capsys):
+    # omega = 1e10 would plan ~3e10 RK4 steps: refused as bad input before
+    # anything is integrated
+    def never(*args):
+        raise AssertionError("the oracle must not run")
+
+    monkeypatch.setattr(scenarios, "integrate_single", never)
+    monkeypatch.setattr(scenarios, "integrate_pair", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps({"params_a": {"omega": 1e10, "lam": 5.0}, "purity": 1, "t_max": 15}),
+        encoding="utf-8",
+    )
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"cap of {integrate.MAX_RK4_STEPS}" in captured.err
+
+
 def test_cli_internal_error_exits_3(monkeypatch, tmp_path, capsys):
     # a tripped guard inside the program is neither bad input (2) nor a
     # failed validation (1)
