@@ -16,7 +16,7 @@ from .entanglement import (
     steady_pair_local,
     steady_pair_nonlocal,
 )
-from .evolution import identical_partitions, propagate_pair, propagate_pairs
+from .evolution import propagate_pair, propagate_pairs
 from .integrate import (
     IntegratorConfig,
     Trajectory,
@@ -40,7 +40,7 @@ from .scenarios import (
     transient_entanglement_threshold,
     validation_report,
 )
-from .states import PairState, ReductionTarget, initial_state, reduce, reduce_all, reduce_stack
+from .states import ReductionTarget, initial_state, reduce, reduce_all, reduce_stack
 
 __version__ = "0.1.0"
 
@@ -54,13 +54,11 @@ __all__ = [
     "propagate_single",
     "propagate_pair",
     "propagate_pairs",
-    "identical_partitions",
     "initial_state",
     "reduce",
     "reduce_all",
     "reduce_stack",
     "ReductionTarget",
-    "PairState",
     "concurrence",
     "concurrence_x_state",
     "steady_pair_local",

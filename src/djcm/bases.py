@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "DRESSED_SINGLE",
     "STANDARD_SINGLE",
     "DRESSED_FROM_STANDARD",
     "QUBITS",
@@ -30,13 +29,13 @@ __all__ = [
     "PAIR_BASIS_LABELS",
 ]
 
-DRESSED_SINGLE = ("+", "-", "0")
 STANDARD_SINGLE = ("1g", "0e", "0g")
 
 _s = 1.0 / np.sqrt(2.0)
 # Rows are dressed states written in the standard basis: row k holds the
-# components of DRESSED_SINGLE[k] over STANDARD_SINGLE. Unitary, and its
-# own inverse up to transposition (it is real orthogonal).
+# components of the k-th dressed level (|+>, |->, |0g>) over
+# STANDARD_SINGLE. Unitary, and its own inverse up to transposition (it is
+# real orthogonal).
 DRESSED_FROM_STANDARD = np.array(
     [
         [_s, _s, 0.0],

@@ -26,6 +26,7 @@ import os
 import sys
 from pathlib import Path
 
+from .bases import PAIR_BASIS_LABELS
 from .entanglement import (
     STEADY_PURITY_THRESHOLD,
     concurrence_x_state,
@@ -50,11 +51,20 @@ __all__ = ["main"]
 
 def _load_config_file(path: Path) -> dict:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"config file {path}: the top level must be a JSON object, got {type(data).__name__}"
+        )
+    # checked here because _merged_config copies them before config_from_dict runs
+    for key in ("params_a", "params_b"):
+        if key in data and not isinstance(data[key], dict):
+            raise ValueError(f"{key} must be an object of parameters, got {data[key]!r}")
+    return data
 
 
 def _merged_config(args: argparse.Namespace):
@@ -156,25 +166,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_steady(args: argparse.Namespace) -> int:
     if args.which == "local":
+        payload = {"which": "local"}
         pair = steady_pair_local()
-        payload = {
-            "which": "local",
-            "basis": list(pair.basis),
-            "matrix": [[float(x.real) for x in row] for row in pair.matrix],
-            "concurrence": concurrence_x_state(pair),
-        }
     else:
         if args.purity is None:
             raise ValueError("--r is required for the nonlocal steady state")
+        payload = {"which": "nonlocal", "r": args.purity}
         pair = steady_pair_nonlocal(args.purity)
-        payload = {
-            "which": "nonlocal",
-            "r": args.purity,
-            "basis": list(pair.basis),
-            "matrix": [[float(x.real) for x in row] for row in pair.matrix],
-            "concurrence": concurrence_x_state(pair),
-            "purity_threshold": STEADY_PURITY_THRESHOLD,
-        }
+    payload["basis"] = list(PAIR_BASIS_LABELS)
+    payload["matrix"] = [[float(x.real) for x in row] for row in pair]
+    payload["concurrence"] = concurrence_x_state(pair)
+    if args.which == "nonlocal":
+        payload["purity_threshold"] = STEADY_PURITY_THRESHOLD
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -1,5 +1,8 @@
 """Two-qubit entanglement measures and the long-time entangled states.
 
+A two-qubit state is a plain 4x4 complex array in the basis
+`bases.PAIR_BASIS_LABELS`, (|11>, |10>, |01>, |00>).
+
 Concurrence of a two-qubit density matrix rho: with the spin-flipped
 conjugate rho_tilde = (sy x sy) rho* (sy x sy), the measure is
 
@@ -37,7 +40,6 @@ import math
 import numpy as np
 
 from .linalg import dag, hermitian_eig, validate_density_matrix, validate_density_stack
-from .states import PairState
 
 __all__ = [
     "concurrence",
@@ -68,14 +70,9 @@ _X_PATTERN[_X_ROWS, _X_COLS] = True
 STEADY_PURITY_THRESHOLD = (-25.0 + 8.0 * math.sqrt(58.0)) / 63.0
 
 
-def _as_matrix(p: PairState | np.ndarray) -> np.ndarray:
-    m = p.matrix if isinstance(p, PairState) else p
-    return validate_density_matrix(m, 4, name="pair state")
-
-
-def concurrence(p: PairState | np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit state, in [0, 1]."""
-    rho = _as_matrix(p)
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of a 4x4 two-qubit state, in [0, 1]."""
+    rho = validate_density_matrix(rho, 4, name="pair state")
     w, v = hermitian_eig(rho)
     if w[-1] < -1e-8:
         raise ValueError(f"state has eigenvalue {w[-1]:.3e}, not a density matrix")
@@ -93,18 +90,17 @@ def concurrence(p: PairState | np.ndarray) -> float:
     return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
 
 
-def concurrence_x_state(p: PairState | np.ndarray) -> float | np.ndarray:
+def concurrence_x_state(rho: np.ndarray) -> float | np.ndarray:
     """Closed-form concurrence of X-structured states (independent of concurrence()).
 
-    Takes one state (a PairState or a 4x4 array) and returns a float, or
-    a (..., 4, 4) stack and returns an array of shape (...). Raises
+    Takes one 4x4 state and returns a float, or a (..., 4, 4) stack and
+    returns an array of shape (...). Raises
     ValueError, naming the worst entry, when any state carries weight
     outside the diagonal and anti-diagonal (use the general routine for
     those), and, like concurrence(), when a state has an eigenvalue
     below -1e-8.
     """
-    m = p.matrix if isinstance(p, PairState) else p
-    rho = validate_density_stack(m, 4, name="pair state")
+    rho = validate_density_stack(rho, 4, name="pair state")
     stray = np.where(_X_PATTERN, 0.0, np.abs(rho))
     k = np.unravel_index(int(np.argmax(stray)), stray.shape)
     if not stray[k] <= 1e-10:
@@ -142,12 +138,11 @@ def concurrence_x_entries(x: np.ndarray) -> np.ndarray:
     return np.where(best > 0.0, 2.0 * best, 0.0)
 
 
-def steady_pair_nonlocal(r: float, labels: tuple[str, str] = ("A", "B")) -> PairState:
-    """Quasi-steady state of any cross-partition pair (AB, ab, Ab, aB).
+def steady_pair_nonlocal(r: float) -> np.ndarray:
+    """Quasi-steady 4x4 state of any cross-partition pair (AB, ab, Ab, aB).
 
     Purity r of the initial cavity state survives into the plateau; the
-    same matrix describes all four cross-partition pairs, so `labels` is
-    purely cosmetic.
+    same matrix describes all four cross-partition pairs.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"purity r must lie in [0,1], got {r}")
@@ -156,11 +151,11 @@ def steady_pair_nonlocal(r: float, labels: tuple[str, str] = ("A", "B")) -> Pair
     m[1, 1] = m[2, 2] = (7.0 + r) / 64.0
     m[1, 2] = m[2, 1] = r / 8.0
     m[3, 3] = (49.0 - r) / 64.0
-    return PairState(matrix=m, labels=labels)
+    return m
 
 
-def steady_pair_local(labels: tuple[str, str] = ("A", "a")) -> PairState:
-    """Quasi-steady state of an atom with its own cavity; purity-independent.
+def steady_pair_local() -> np.ndarray:
+    """Quasi-steady 4x4 state of an atom with its own cavity; purity-independent.
 
     Equals 1/4 of the projector onto the long-lived dressed level plus
     3/4 of the ground level, written in the bare pair basis.
@@ -168,7 +163,7 @@ def steady_pair_local(labels: tuple[str, str] = ("A", "a")) -> PairState:
     m = np.zeros((4, 4), dtype=complex)
     m[1, 1] = m[2, 2] = m[1, 2] = m[2, 1] = 1.0 / 8.0
     m[3, 3] = 6.0 / 8.0
-    return PairState(matrix=m, labels=labels)
+    return m
 
 
 def steady_concurrence_nonlocal(r: float) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "pair_x_entries",
     "propagate_pair",
     "propagate_pairs",
-    "identical_partitions",
     "min_eigenvalue",
 ]
 
@@ -149,19 +148,6 @@ def propagate_pair(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, t: float) -> 
     The one-time case of `propagate_pairs`, with the same checks.
     """
     return propagate_pairs(r0, p_a, p_b, np.array([t]))[0]
-
-
-def identical_partitions(p_a: JcmParams, p_b: JcmParams, rtol: float = 1e-12) -> bool:
-    """True when all four parameters of the partitions agree to relative rtol."""
-    pairs = (
-        (p_a.omega0, p_b.omega0),
-        (p_a.omega, p_b.omega),
-        (p_a.gamma0, p_b.gamma0),
-        (p_a.lam, p_b.lam),
-    )
-    return all(
-        abs(x - y) <= rtol * max(abs(x), abs(y), 1.0) for x, y in pairs
-    )
 
 
 def min_eigenvalue(rho: np.ndarray) -> float | np.ndarray:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .entanglement import concurrence, concurrence_x_entries
-from .evolution import identical_partitions, min_eigenvalue, pair_x_entries, propagate_pairs
+from .evolution import min_eigenvalue, pair_x_entries, propagate_pairs
 from .integrate import integrate_pair, integrate_single, oracle_config, rate_from_spectral_density
 from .propagator import (
     JcmParams,
@@ -202,12 +203,11 @@ def _params_from_dict(data: dict, name: str) -> JcmParams:
     missing = {"omega", "lam"} - set(data)
     if missing:
         raise ValueError(f"{name} is missing {', '.join(sorted(missing))}")
-    return JcmParams(
-        omega0=float(data.get("omega0", 0.0)),
-        omega=float(data["omega"]),
-        gamma0=float(data.get("gamma0", 1.0)),
-        lam=float(data["lam"]),
-    )
+    values = {"omega0": 0.0, "gamma0": 1.0, **data}
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name}.{key} must be a number, got {value!r}")
+    return JcmParams(**{key: float(value) for key, value in values.items()})
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -223,7 +223,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Inverse of config_to_dict; unknown keys are rejected."""
+    """Inverse of config_to_dict; unknown keys and mistyped values are rejected."""
     known = {"params_a", "params_b", "purity", "t_max", "samples", "targets", "output"}
     extra = set(data) - known
     if extra:
@@ -235,16 +235,23 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     params_b = (
         _params_from_dict(data["params_b"], "params_b") if "params_b" in data else params_a
     )
-    targets = tuple(
-        ReductionTarget(name) for name in data.get("targets", [t.value for t in TARGET_ORDER])
-    )
+    for key in ("purity", "t_max"):
+        if isinstance(data[key], bool) or not isinstance(data[key], numbers.Real):
+            raise ValueError(f"{key} must be a number, got {data[key]!r}")
+    samples = data.get("samples", _DEFAULT_SAMPLES)
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
+    names = data.get("targets", [t.value for t in TARGET_ORDER])
+    valid = [t.value for t in ReductionTarget]
+    if not isinstance(names, (list, tuple)) or any(name not in valid for name in names):
+        raise ValueError(f"targets must be a list of names from {valid}, got {names!r}")
     return ScenarioConfig(
         params_a=params_a,
         params_b=params_b,
         purity=float(data["purity"]),
         t_max=float(data["t_max"]),
-        samples=int(data.get("samples", _DEFAULT_SAMPLES)),
-        targets=targets,
+        samples=int(samples),
+        targets=tuple(ReductionTarget(name) for name in names),
         output=data.get("output", "csv"),
     )
 
@@ -293,7 +300,7 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
 
     # decay rates from the reservoir correlation function
     param_sets = [cfg.params_a]
-    if not identical_partitions(cfg.params_a, cfg.params_b):
+    if cfg.params_b != cfg.params_a:
         param_sets.append(cfg.params_b)
     rate_times = np.linspace(0.0, min(cfg.t_max, 10.0), 21)
     dev_minus = dev_plus = 0.0

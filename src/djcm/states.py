@@ -15,12 +15,15 @@ between those pictures:
   built once at import by pushing the 81 matrix units through the
   dressing, the 16-dim four-qubit embedding and the partial traces.
   `reduce_stack` applies it to a whole stack of states; `reduce` and
-  `reduce_all` are its one-state views.
+  `reduce_all` are its one-state views. A reduced state is a plain 4x4
+  array in the basis `bases.PAIR_BASIS_LABELS` = (|11>, |10>, |01>, |00>),
+  the first-named subsystem of the target being the left (most
+  significant) factor; for atoms level 1 means |e>, for cavities one
+  photon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -30,7 +33,6 @@ from .linalg import partial_trace_qubits, validate_density_matrix, validate_dens
 
 __all__ = [
     "ReductionTarget",
-    "PairState",
     "initial_state",
     "dressed_to_standard",
     "standard_to_dressed",
@@ -44,6 +46,12 @@ __all__ = [
 _W = np.kron(bases.DRESSED_FROM_STANDARD, bases.DRESSED_FROM_STANDARD)
 _W_DAG = _W.conj().T
 _EMBED = np.array(bases.EMBED_16)
+
+# With its atom in |g>, a cavity holding one photon is the bare level |1g>
+# and an empty one |0g>; so the cavity-pair states (|11>, |10>, |01>, |00>)
+# with both atoms in |g> are these bare 9-dim levels.
+_ONE_ZERO = tuple(bases.STANDARD_SINGLE.index(level) for level in ("1g", "0g"))
+_CAVITY_LEVELS = [3 * i + j for i in _ONE_ZERO for j in _ONE_ZERO]
 
 
 class ReductionTarget(Enum):
@@ -67,30 +75,13 @@ class ReductionTarget(Enum):
         return list(ReductionTarget).index(self)
 
 
-@dataclass(frozen=True)
-class PairState:
-    """A two-qubit reduced state in the basis (|11>, |10>, |01>, |00>).
-
-    `labels` names the two kept subsystems; the first-named one is the
-    left (most significant) tensor factor. For atoms level 1 means |e>,
-    for cavities it means one photon.
-    """
-
-    matrix: np.ndarray
-    labels: tuple[str, str]
-    basis: tuple[str, ...] = field(default=bases.PAIR_BASIS_LABELS)
-
-    def __post_init__(self) -> None:
-        validate_density_matrix(self.matrix, 4, name=f"pair state {''.join(self.labels)}")
-
-
 def initial_state(r: float) -> np.ndarray:
     """Dressed-basis 9x9 state: Werner-like cavities (purity r), atoms in |gg>.
 
     The cavity-cavity state is r |phi+><phi+| + (1-r)/4 * identity with
-    |phi+> = (|10> + |01>)/sqrt(2). Built explicitly in the 16-dim
-    four-qubit space, checked to have support only on the zero/one
-    excitation sector of each partition, then compressed and dressed.
+    |phi+> = (|10> + |01>)/sqrt(2). It is written straight into the four
+    bare 9-dim levels with both atoms in |g> (one photon is |1g>, none
+    |0g>), then dressed.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"purity r must lie in [0,1], got {r}")
@@ -99,32 +90,9 @@ def initial_state(r: float) -> np.ndarray:
     phi[1] = phi[2] = 1.0 / np.sqrt(2.0)  # (|10> + |01>)/sqrt(2) over (a,b)
     rho_ab = r * np.outer(phi, phi.conj()) + (1.0 - r) / 4.0 * np.eye(4)
 
-    rho16 = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            # cavity occupation bits: 0 = one photon, 1 = empty
-            xa, xb = i >> 1, i & 1
-            ya, yb = j >> 1, j & 1
-            # both atoms ground (bit 1)
-            row = 8 * xa + 4 * 1 + 2 * xb + 1
-            col = 8 * ya + 4 * 1 + 2 * yb + 1
-            rho16[row, col] = rho_ab[i, j]
-
-    std9 = _compress_16_to_9(rho16)
+    std9 = np.zeros((9, 9), dtype=complex)
+    std9[np.ix_(_CAVITY_LEVELS, _CAVITY_LEVELS)] = rho_ab
     return standard_to_dressed(std9)
-
-
-def _compress_16_to_9(rho16: np.ndarray, leak_tol: float = 1e-12) -> np.ndarray:
-    """Restrict a 16-dim four-qubit state to the 9 per-partition one-excitation levels."""
-    mask = np.zeros(16, dtype=bool)
-    mask[_EMBED] = True
-    outside = np.abs(rho16[~mask, :]).max(initial=0.0)
-    outside = max(outside, np.abs(rho16[:, ~mask]).max(initial=0.0))
-    if outside > leak_tol:
-        raise ValueError(
-            f"state leaks outside the one-excitation sector (amplitude {outside:.3e})"
-        )
-    return rho16[np.ix_(_EMBED, _EMBED)]
 
 
 def dressed_to_standard(s: np.ndarray) -> np.ndarray:
@@ -170,8 +138,8 @@ def reduce_stack(states: np.ndarray) -> np.ndarray:
     """All six reductions of each state of a (T,9,9) stack, as a (T,6,4,4) array.
 
     The second axis runs over `ReductionTarget` in definition order (see
-    `ReductionTarget.block`); each 4x4 block uses the basis and factor
-    order of `PairState`.
+    `ReductionTarget.block`); each 4x4 block is in the pair basis and
+    factor order described in the module docstring.
     """
     states = validate_density_stack(states, 9, name="state")
     if states.ndim != 3:
@@ -180,18 +148,13 @@ def reduce_stack(states: np.ndarray) -> np.ndarray:
     return flat.reshape(len(states), 6, 4, 4)
 
 
-def reduce_all(s: np.ndarray) -> dict[ReductionTarget, PairState]:
-    """All six reductions of one dressed-basis 9x9 state."""
+def reduce_all(s: np.ndarray) -> dict[ReductionTarget, np.ndarray]:
+    """All six (4,4) reductions of one dressed-basis 9x9 state, keyed by target."""
     s = validate_density_matrix(s, 9, name="state")
-    blocks = reduce_stack(s[None])[0]
-    return {
-        target: PairState(matrix=block, labels=(target.value[0], target.value[1]))
-        for target, block in zip(ReductionTarget, blocks)
-    }
+    return dict(zip(ReductionTarget, reduce_stack(s[None])[0]))
 
 
-def reduce(s: np.ndarray, target: ReductionTarget) -> PairState:
-    """Reduce a dressed-basis 9x9 state to one of the six qubit pairs."""
+def reduce(s: np.ndarray, target: ReductionTarget) -> np.ndarray:
+    """The (4,4) reduction of a dressed-basis 9x9 state to one of the six qubit pairs."""
     s = validate_density_matrix(s, 9, name="state")
-    block = reduce_stack(s[None])[0, target.block]
-    return PairState(matrix=block, labels=(target.value[0], target.value[1]))
+    return reduce_stack(s[None])[0, target.block]

@@ -302,11 +302,11 @@ def test_criterion_06_strong_coupling_plateau():
         dev_m = 0.0
         for tgt in NONLOCAL:
             dev_m = max(dev_m, float(np.abs(
-                pairs[tgt].matrix - steady_pair_nonlocal(1.0).matrix
+                pairs[tgt] - steady_pair_nonlocal(1.0)
             ).max()))
         for tgt in LOCAL:
             dev_m = max(dev_m, float(np.abs(
-                pairs[tgt].matrix - steady_pair_local().matrix
+                pairs[tgt] - steady_pair_local()
             ).max()))
         results[label] = (dev_c, dev_m, tol)
     ok = all(dc <= tol and dm <= tol for dc, dm, tol in results.values())
@@ -327,11 +327,11 @@ def test_criterion_07_weak_memory_plateau_at_late_time():
     dev_m = 0.0
     for tgt in NONLOCAL:
         dev_m = max(dev_m, float(np.abs(
-            pairs[tgt].matrix - steady_pair_nonlocal(1.0).matrix
+            pairs[tgt] - steady_pair_nonlocal(1.0)
         ).max()))
     for tgt in LOCAL:
         dev_m = max(dev_m, float(np.abs(
-            pairs[tgt].matrix - steady_pair_local().matrix
+            pairs[tgt] - steady_pair_local()
         ).max()))
     ok = dev_c <= 0.03 and dev_m <= 0.03
     line = _report(
@@ -352,19 +352,19 @@ def test_criterion_08_plateau_purity_dependence():
     # the in-partition pairs forget the cavity purity
     dev_local = 0.0
     for tgt in LOCAL:
-        ref = pairs_by_r[purities[0]][tgt].matrix
+        ref = pairs_by_r[purities[0]][tgt]
         for r in purities[1:]:
-            dev_local = max(dev_local, float(np.abs(pairs_by_r[r][tgt].matrix - ref).max()))
+            dev_local = max(dev_local, float(np.abs(pairs_by_r[r][tgt] - ref).max()))
 
     # the cross-partition pair keeps it, matching the closed form per r
     dev_ab = 0.0
     for r in purities:
         dev_ab = max(dev_ab, float(np.abs(
-            pairs_by_r[r][ReductionTarget.AB].matrix - steady_pair_nonlocal(r).matrix
+            pairs_by_r[r][ReductionTarget.AB] - steady_pair_nonlocal(r)
         ).max()))
     spread_ab = float(np.abs(
-        pairs_by_r[1.0][ReductionTarget.AB].matrix
-        - pairs_by_r[0.0][ReductionTarget.AB].matrix
+        pairs_by_r[1.0][ReductionTarget.AB]
+        - pairs_by_r[0.0][ReductionTarget.AB]
     ).max())
 
     ok = dev_local <= 1e-3 and dev_ab <= 0.02 and spread_ab > 0.05
@@ -481,7 +481,7 @@ def test_criterion_11_property_bundle():
     for t in (0.8, 3.1):
         a = reduce_all(propagate_pair(s0, p, p, t))
         b = reduce_all(propagate_pair(s0, p_shift, p_shift, t))
-        dev = max(float(np.abs(a[k].matrix - b[k].matrix).max()) for k in a)
+        dev = max(float(np.abs(a[k] - b[k]).max()) for k in a)
         if dev > 1e-12:
             failures.append(f"reductions moved with omega0 (dev {dev:.1e})")
             break

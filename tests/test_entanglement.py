@@ -148,29 +148,25 @@ def test_concurrence_rejects_nonstates():
 
 
 def test_steady_local_pair():
-    ps = steady_pair_local()
-    m = ps.matrix
-    assert ps.labels == ("A", "a")
+    m = steady_pair_local()
     assert abs(m.trace() - 1.0) < 1e-15
     assert m[1, 1] == m[2, 2] == m[1, 2] == 0.125
     assert m[3, 3] == 0.75
     assert m[0, 0] == 0.0
     # one eighth of coherence against (1/8)(1/8) populations: bare value 0.25
-    assert concurrence_x_state(ps) == pytest.approx(0.25, abs=1e-14)
-    assert concurrence(ps) == pytest.approx(0.25, abs=1e-12)
+    assert concurrence_x_state(m) == pytest.approx(0.25, abs=1e-14)
+    assert concurrence(m) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_steady_nonlocal_family():
     for r in (0.0, 0.3, 1.0):
-        ps = steady_pair_nonlocal(r)
-        m = ps.matrix
+        m = steady_pair_nonlocal(r)
         assert abs(m.trace() - 1.0) < 1e-15
         assert m[0, 0] == pytest.approx((1.0 - r) / 64.0)
         assert m[1, 1] == pytest.approx((7.0 + r) / 64.0)
         assert m[1, 2] == pytest.approx(r / 8.0)
         assert m[3, 3] == pytest.approx((49.0 - r) / 64.0)
         assert np.linalg.eigvalsh(m).min() > -1e-15
-    assert steady_pair_nonlocal(0.0, labels=("a", "B")).labels == ("a", "B")
     with pytest.raises(ValueError):
         steady_pair_nonlocal(1.2)
 

@@ -13,12 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from djcm.evolution import (
-    identical_partitions,
-    min_eigenvalue,
-    propagate_pair,
-    propagate_pairs,
-)
+from djcm.evolution import min_eigenvalue, propagate_pair, propagate_pairs
 from djcm.propagator import JcmParams, propagate_single
 from djcm.states import initial_state
 
@@ -155,17 +150,6 @@ def test_ground_population_monotone_in_markovian_regime():
     # the Bell start always holds one photon, so |0g 0g> is initially empty
     assert pops[0] == pytest.approx(0.0, abs=1e-14)
     assert pops[-1] > 0.998  # everything relaxes into the double ground level
-
-
-def test_identical_partitions():
-    assert identical_partitions(P_MARKOV, P_MARKOV)
-    assert identical_partitions(
-        P_MARKOV, JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0 + 1e-15)
-    )
-    assert not identical_partitions(P_MARKOV, P_MEMORY)
-    assert not identical_partitions(
-        P_MARKOV, JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.001)
-    )
 
 
 def test_rejects_invalid_input():

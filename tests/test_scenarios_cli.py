@@ -411,6 +411,40 @@ def test_cli_evolve_errors(capsys, tmp_path):
     assert "not found" in capsys.readouterr().err
 
 
+_GOOD = {"params_a": {"omega": 1, "lam": 5}, "purity": 1, "t_max": 1, "samples": 3}
+
+
+@pytest.mark.parametrize("command", ["evolve", "validate"])
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ([1, 2], "top level"),
+        ({**_GOOD, "params_a": 5}, "params_a"),
+        ({**_GOOD, "params_b": None}, "params_b"),
+        ({**_GOOD, "params_a": {"omega": None, "lam": 5}}, "params_a.omega"),
+        ({**_GOOD, "purity": None}, "purity"),
+        ({**_GOOD, "t_max": "1"}, "t_max"),
+        ({**_GOOD, "targets": None}, "targets"),
+        ({**_GOOD, "targets": ["AB", "XY"]}, "targets"),
+        ({**_GOOD, "samples": 2.9}, "samples"),
+    ],
+    ids=[
+        "list", "params-number", "params-null", "param-null", "purity-null",
+        "tmax-string", "targets-null", "targets-unknown", "samples-fraction",
+    ],
+)
+def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, config, key):
+    # a config of the wrong shape is bad input (exit 2, one error line
+    # naming the key), not a traceback or exit 1, which means a failed check
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert key in captured.err
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [

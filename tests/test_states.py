@@ -16,7 +16,6 @@ from djcm.evolution import propagate_pair, propagate_pairs
 from djcm.linalg import partial_trace_qubits
 from djcm.propagator import JcmParams
 from djcm.states import (
-    PairState,
     ReductionTarget,
     dressed_to_standard,
     embed_standard_16,
@@ -119,25 +118,25 @@ def test_reductions_of_pure_bell_start():
     for i in (1, 2):
         for j in (1, 2):
             bell[i, j] = 0.5
-    assert np.abs(states[ReductionTarget.ab].matrix - bell).max() < 1e-14
+    assert np.abs(states[ReductionTarget.ab] - bell).max() < 1e-14
     gg = np.zeros((4, 4), dtype=complex)
     gg[3, 3] = 1.0  # both atoms in the ground state -> |00>
-    assert np.abs(states[ReductionTarget.AB].matrix - gg).max() < 1e-14
+    assert np.abs(states[ReductionTarget.AB] - gg).max() < 1e-14
     # atom ground x cavity half-filled; which diagonal slots fill up
     # depends on which subsystem is named first
     atom_left = np.diag([0.0, 0.0, 0.5, 0.5]).astype(complex)
     cavity_left = np.diag([0.0, 0.5, 0.0, 0.5]).astype(complex)
     for target in (ReductionTarget.Aa, ReductionTarget.Bb, ReductionTarget.Ab):
-        assert np.abs(states[target].matrix - atom_left).max() < 1e-14
-    assert np.abs(states[ReductionTarget.aB].matrix - cavity_left).max() < 1e-14
+        assert np.abs(states[target] - atom_left).max() < 1e-14
+    assert np.abs(states[ReductionTarget.aB] - cavity_left).max() < 1e-14
 
 
 def test_reductions_of_fully_mixed_start():
     states = reduce_all(initial_state(0.0))
-    assert np.abs(states[ReductionTarget.ab].matrix - np.eye(4) / 4.0).max() < 1e-14
+    assert np.abs(states[ReductionTarget.ab] - np.eye(4) / 4.0).max() < 1e-14
     gg = np.zeros((4, 4), dtype=complex)
     gg[3, 3] = 1.0
-    assert np.abs(states[ReductionTarget.AB].matrix - gg).max() < 1e-14
+    assert np.abs(states[ReductionTarget.AB] - gg).max() < 1e-14
 
 
 def test_reduce_matches_reduce_all():
@@ -145,8 +144,7 @@ def test_reduce_matches_reduce_all():
     bundle = reduce_all(s)
     for target in ReductionTarget:
         single = reduce(s, target)
-        assert np.abs(single.matrix - bundle[target].matrix).max() == 0.0
-        assert single.labels == (target.value[0], target.value[1])
+        assert np.abs(single - bundle[target]).max() == 0.0
 
 
 def test_reduce_stack_matches_reduce_all():
@@ -157,7 +155,7 @@ def test_reduce_stack_matches_reduce_all():
     for k in range(len(times)):
         bundle = reduce_all(states[k])
         for target in ReductionTarget:
-            assert np.abs(blocks[k, target.block] - bundle[target].matrix).max() < 1e-15
+            assert np.abs(blocks[k, target.block] - bundle[target]).max() < 1e-15
     with pytest.raises(ValueError, match=r"\(T,9,9\)"):
         reduce_stack(states[0])
     broken = states.copy()
@@ -171,8 +169,8 @@ def test_reductions_stay_valid_along_trajectory():
     for t in np.linspace(0.0, 12.0, 13):
         s = propagate_pair(s0, P, P, float(t))
         for ps in reduce_all(s).values():
-            assert abs(ps.matrix.trace() - 1.0) < 1e-12
-            assert np.abs(ps.matrix - ps.matrix.conj().T).max() < 1e-12
+            assert abs(ps.trace() - 1.0) < 1e-12
+            assert np.abs(ps - ps.conj().T).max() < 1e-12
 
 
 def test_exchange_symmetric_reductions():
@@ -182,11 +180,11 @@ def test_exchange_symmetric_reductions():
     s = propagate_pair(initial_state(1.0), P, P, 0.9)
     states = reduce_all(s)
     assert np.abs(
-        states[ReductionTarget.Aa].matrix - states[ReductionTarget.Bb].matrix
+        states[ReductionTarget.Aa] - states[ReductionTarget.Bb]
     ).max() < 1e-13
     swap = [0, 2, 1, 3]  # |xy> -> |yx> in the (|11>,|10>,|01>,|00>) basis
-    swapped_aB = states[ReductionTarget.aB].matrix[np.ix_(swap, swap)]
-    assert np.abs(states[ReductionTarget.Ab].matrix - swapped_aB).max() < 1e-13
+    swapped_aB = states[ReductionTarget.aB][np.ix_(swap, swap)]
+    assert np.abs(states[ReductionTarget.Ab] - swapped_aB).max() < 1e-13
 
 
 def test_reductions_do_not_depend_on_qubit_frequency():
@@ -198,7 +196,7 @@ def test_reductions_do_not_depend_on_qubit_frequency():
         base = reduce_all(propagate_pair(s0, P, P, t))
         shifted = reduce_all(propagate_pair(s0, p_shift, p_shift, t))
         for target in ReductionTarget:
-            assert np.abs(base[target].matrix - shifted[target].matrix).max() < 1e-12
+            assert np.abs(base[target] - shifted[target]).max() < 1e-12
 
 
 def test_reduction_consistency_with_manual_trace():
@@ -209,13 +207,5 @@ def test_reduction_consistency_with_manual_trace():
     rho16 = embed_standard_16(dressed_to_standard(s))
     for target in ReductionTarget:
         manual = partial_trace_qubits(rho16, 4, target.qubits)
-        assert np.abs(reduce(s, target).matrix - manual).max() < 1e-15
+        assert np.abs(reduce(s, target) - manual).max() < 1e-15
 
-
-def test_pair_state_validation():
-    with pytest.raises(ValueError):
-        PairState(matrix=np.eye(4, dtype=complex), labels=("A", "B"))  # trace 4
-    with pytest.raises(ValueError):
-        PairState(matrix=np.full((4, 4), np.nan, dtype=complex), labels=("A", "B"))
-    ok = PairState(matrix=np.eye(4, dtype=complex) / 4.0, labels=("A", "B"))
-    assert ok.basis == ("11", "10", "01", "00")
