@@ -10,7 +10,10 @@ Subcommands:
 All frequencies and rates are in units of gamma0, times in 1/gamma0.
 A JSON config file (--config) may supply any ScenarioConfig field,
 including different parameters for the two partitions; command-line
-flags override file values and always set both partitions alike.
+flags override file values, and --omega/--lambda/--omega0 set both
+partitions alike. `scenarios.config_from_dict` parses the result, so the
+file and the flags share its defaults and its errors. Without --config,
+--omega, --lambda, --r and --tmax are required.
 
 Exit codes: 0 success, 1 validation failure, 2 bad input, 3 internal
 error (a propagation or oracle guard tripped), 141 when the reader of
@@ -49,56 +52,38 @@ from .scenarios import (
 __all__ = ["main"]
 
 
-def _load_config_file(path: Path) -> dict:
+def _load_config_file(path: Path):
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"config file {path}: the top level must be a JSON object, got {type(data).__name__}"
-        )
-    # checked here because _merged_config copies them before config_from_dict runs
-    for key in ("params_a", "params_b"):
-        if key in data and not isinstance(data[key], dict):
-            raise ValueError(f"{key} must be an object of parameters, got {data[key]!r}")
-    return data
 
 
 def _merged_config(args: argparse.Namespace):
-    """Combine config-file values with command-line flags (flags win)."""
-    data = _load_config_file(args.config) if args.config else {}
-    pa = dict(data.get("params_a", {}))
-    pb = dict(data.get("params_b", pa))
-    for key, val in (("omega", args.omega), ("lam", args.lam), ("omega0", args.omega0)):
-        if val is not None:
-            pa[key] = val
-            pb[key] = val
-    for params in (pa, pb):
-        params.setdefault("omega0", 0.0)
-        params.setdefault("gamma0", 1.0)
-    for name, params in (("params_a", pa), ("params_b", pb)):
-        missing = {"omega", "lam"} - set(params)
+    """Lay the command-line flags over the config file's values (flags win).
+
+    `config_from_dict` fills in the defaults and checks the result.
+    """
+    if args.config is None:
+        required = {"--omega": args.omega, "--lambda": args.lam, "--r": args.purity, "--tmax": args.tmax}
+        missing = [flag for flag, value in required.items() if value is None]
         if missing:
-            raise ValueError(
-                f"{name} is missing {', '.join(sorted(missing))} "
-                "(give --omega/--lambda or a config file)"
-            )
-    merged = dict(data)
-    merged["params_a"] = pa
-    merged["params_b"] = pb
-    if args.purity is not None:
-        merged["purity"] = args.purity
-    if args.tmax is not None:
-        merged["t_max"] = args.tmax
-    if args.samples is not None:
-        merged["samples"] = args.samples
-    if "purity" not in merged:
-        raise ValueError("missing purity (give --r or a config file)")
-    if "t_max" not in merged:
-        raise ValueError("missing time range (give --tmax or a config file)")
+            raise ValueError(f"missing {', '.join(missing)} (or give --config)")
+        data = {}
+    else:
+        data = _load_config_file(args.config)
+    if not isinstance(data, dict):
+        return config_from_dict(data)  # rejects it, naming the top level
+    top = {"purity": args.purity, "t_max": args.tmax, "samples": args.samples}
+    params = {"omega": args.omega, "lam": args.lam, "omega0": args.omega0}
+    params = {key: value for key, value in params.items() if value is not None}
+    merged = {**data, **{key: value for key, value in top.items() if value is not None}}
+    # a params_b the file lacks stays absent: config_from_dict copies params_a
+    for key, side in (("params_a", data.get("params_a", {})), ("params_b", data.get("params_b"))):
+        if isinstance(side, dict):  # any other value is left for config_from_dict to name
+            merged[key] = {**side, **params}
     return config_from_dict(merged)
 
 

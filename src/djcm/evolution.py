@@ -43,6 +43,20 @@ __all__ = [
 ]
 
 
+def _pair_map(ta: np.ndarray, tb: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Pair states from (..., 3,3,3,3) maps T_A, T_B and (..., 9, 9) states R.
+
+    Leading axes broadcast. Partition A's map acts on the (m, o) indices
+    of R, B's on (n, q): R as a 9x9 matrix over (m o), (n q), then
+    out[(a c), (b d)] = T_A R T_B^T.
+    """
+    ta = ta.reshape(ta.shape[:-4] + (9, 9))
+    tb = tb.reshape(tb.shape[:-4] + (9, 9))
+    r = r0.reshape(r0.shape[:-2] + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(r0.shape)
+    out = ta @ (r @ tb.swapaxes(-1, -2))
+    return out.reshape(out.shape[:-2] + (3, 3, 3, 3)).swapaxes(-3, -2).reshape(out.shape)
+
+
 def propagate_pairs(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, times: np.ndarray) -> np.ndarray:
     """Propagate a 9x9 dressed-basis two-partition state to each of T times.
 
@@ -56,13 +70,7 @@ def propagate_pairs(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, times: np.nd
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
-    # Partition A's map acts on the (m, o) indices of R, B's on (n, q):
-    # R as a 9x9 matrix over (m o), (n q), then out[(a c), (b d)] = T_A R T_B^T.
-    ta = transfer_tensor(p_a, times).reshape(-1, 9, 9)
-    tb = transfer_tensor(p_b, times).reshape(-1, 9, 9)
-    r = r0.reshape(3, 3, 3, 3).transpose(0, 2, 1, 3).reshape(9, 9)
-    out = ta @ (r @ tb.transpose(0, 2, 1))
-    out = out.reshape(-1, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).reshape(-1, 9, 9)
+    out = _pair_map(transfer_tensor(p_a, times), transfer_tensor(p_b, times), r0)
 
     drift = np.abs(np.trace(out, axis1=1, axis2=2) - r0.trace()).max(initial=0.0)
     if not drift <= 1e-12:
@@ -84,12 +92,8 @@ def _x_kernel() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     zero, which proves once that each reduction is X-shaped.
     """
     n = len(PATTERNS)
-    e = PATTERNS.reshape(n, 9, 9)  # (k, (a c), (m o))
-    r0 = np.stack([initial_state(1.0), initial_state(0.0)])
-    r0 = r0.reshape(2, 3, 3, 3, 3).transpose(0, 1, 3, 2, 4).reshape(2, 1, 9, 9)  # (m o), (n q)
-    # out[s, (k a c), (l b d)] = sum E_k[(a c), (m o)] R_s[(m o), (n q)] E_l[(b d), (n q)]
-    out = (e @ r0).reshape(2, n * 9, 9) @ e.reshape(n * 9, 9).T
-    out = out.reshape(2, n, 3, 3, n, 3, 3).transpose(0, 1, 4, 2, 5, 3, 6).reshape(2, n * n, 81)
+    r0 = np.stack([initial_state(1.0), initial_state(0.0)]).reshape(2, 1, 1, 9, 9)
+    out = _pair_map(PATTERNS[:, None], PATTERNS[None, :], r0).reshape(2, n * n, 81)
     table = out @ np.vstack([_REDUCTION, np.eye(9).reshape(1, 81)]).T  # (2, n*n, 97)
 
     x_cols = [16 * block + 4 * i + j for block in range(6) for i, j in X_ENTRIES]

@@ -39,6 +39,9 @@ __all__ = [
 
 _STEP_FRACTION = 1.0 / 50.0  # of the fastest timescale present
 
+# How far below the admissible step `oracle_config` plans its steps.
+_ORACLE_SAFETY = 3.0
+
 # Most RK4 steps `oracle_config` plans for one trajectory. The largest
 # preset (fig2c/fig4) needs 225,000; a plan beyond this cap would run for
 # minutes or hours, so it is refused before anything is integrated.
@@ -99,20 +102,18 @@ def max_step(*params: JcmParams) -> float:
     return _STEP_FRACTION * scale
 
 
-def oracle_config(
-    t_end: float, samples: int, *params: JcmParams, safety: float = 3.0
-) -> IntegratorConfig:
+def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorConfig:
     """Config recording `samples` evenly spaced states on [0, t_end].
 
-    The step divides the recording interval exactly and sits a factor
-    `safety` below the admissible bound, which keeps even the stiff
+    The step divides the recording interval exactly and sits at least a
+    factor 3 below the admissible bound, which keeps even the stiff
     presets well inside the tolerance the oracle comparisons use.
     Raises ValueError when that plan exceeds MAX_RK4_STEPS.
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     spacing = t_end / (samples - 1)
-    bound = max_step(*params) / safety
+    bound = max_step(*params) / _ORACLE_SAFETY
     per_interval = max(1, math.ceil(spacing / bound - 1e-12))
     planned = per_interval * (samples - 1)
     if planned > MAX_RK4_STEPS:

@@ -4,6 +4,8 @@ Everything here operates on plain complex numpy arrays. Matrices are at
 most 16x16. Where a helper accepts a stack of them (shape (..., n, n)),
 the caller bounds the stack's size; the trajectory pipeline passes one
 chunk of its time grid at a time. Clarity and strict input checking win.
+The Hermiticity and trace checks accept errors up to 1e-10, the same for
+every caller.
 """
 
 from __future__ import annotations
@@ -20,20 +22,17 @@ __all__ = [
 
 _QUBIT_DIM = 2
 
+# Largest Hermiticity defect and trace error the checks below accept.
+_HERM_TOL = 1e-10
+_TRACE_TOL = 1e-10
+
 
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    dim: int,
-    *,
-    name: str = "state",
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray, dim: int, *, name: str = "state") -> np.ndarray:
     """Check shape, Hermiticity and unit trace; return the array as complex.
 
     Positivity is deliberately not enforced here: several callers work with
@@ -44,17 +43,10 @@ def validate_density_matrix(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (dim, dim):
         raise ValueError(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
-    return validate_density_stack(rho, dim, name=name, herm_tol=herm_tol, trace_tol=trace_tol)
+    return validate_density_stack(rho, dim, name=name)
 
 
-def validate_density_stack(
-    rho: np.ndarray,
-    dim: int,
-    *,
-    name: str = "state",
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-) -> np.ndarray:
+def validate_density_stack(rho: np.ndarray, dim: int, *, name: str = "state") -> np.ndarray:
     """`validate_density_matrix` for a stack of shape (..., dim, dim).
 
     Every matrix of the stack is checked; an error names the worst one
@@ -73,28 +65,28 @@ def validate_density_stack(
 
     defect = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     k, label = worst(defect)
-    if not defect[k] <= herm_tol:
+    if not defect[k] <= _HERM_TOL:
         raise ValueError(f"{label} is not Hermitian (defect {defect[k]:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     k, label = worst(np.abs(tr - 1.0))
-    if not abs(tr[k] - 1.0) <= trace_tol:
+    if not abs(tr[k] - 1.0) <= _TRACE_TOL:
         raise ValueError(f"{label} must have unit trace, got {tr[k]:.12g}")
     return rho
 
 
-def hermitian_eig(m: np.ndarray, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns (w, v) with m = v @ diag(w) @ v^dagger and the columns of v
     orthonormal. Raises ValueError if m is not Hermitian to within
-    herm_tol, naming the worst offending entry.
+    1e-10, naming the worst offending entry.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     diff = np.abs(m - m.conj().T)
     defect = float(diff.max())
-    if not defect <= herm_tol:
+    if not defect <= _HERM_TOL:
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
         raise ValueError(
             f"matrix is not Hermitian: entry ({i},{j}) differs from its "

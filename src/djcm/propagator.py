@@ -101,11 +101,6 @@ class JcmParams:
         if math.isinf(self.gamma0 / self.lam):
             raise ValueError(f"gamma0={self.gamma0!r}, lam={self.lam!r}: gamma0/lam is infinite")
 
-    @property
-    def markovian(self) -> bool:
-        """True in the weak-coupling regime lam > 2*gamma0 (no rate can go negative)."""
-        return self.lam > 2.0 * self.gamma0
-
 
 def _times(t: float | np.ndarray) -> np.ndarray:
     """t as a float array, checked finite and non-negative.

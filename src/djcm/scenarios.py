@@ -197,6 +197,8 @@ def _params_to_dict(p: JcmParams) -> dict:
 
 
 def _params_from_dict(data: dict, name: str) -> JcmParams:
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object of parameters, got {data!r}")
     extra = set(data) - {"omega0", "omega", "gamma0", "lam"}
     if extra:
         raise ValueError(f"unknown {name} keys: {', '.join(sorted(extra))}")
@@ -223,7 +225,15 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Inverse of config_to_dict; unknown keys and mistyped values are rejected."""
+    """Inverse of config_to_dict, and the one parser of a config mapping.
+
+    It fills in the defaults (omega0 0, gamma0 1, params_b = params_a,
+    1501 samples, all six targets, CSV output) and rejects input of the
+    wrong shape, unknown keys, missing keys and mistyped values with a
+    ValueError that names the key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"the config's top level must be an object, got {type(data).__name__}")
     known = {"params_a", "params_b", "purity", "t_max", "samples", "targets", "output"}
     extra = set(data) - known
     if extra:
@@ -347,9 +357,10 @@ def transient_entanglement_threshold(
 ) -> float | None:
     """Smallest purity (on a dr grid) whose trajectory ever entangles `target`.
 
-    Scans r = 0, dr, 2*dr, ... and returns the first value for which the
-    concurrence exceeds eps anywhere on the time grid; None if even r=1
-    never entangles the pair. This is the transient counterpart of the
+    Scans r = 0, dr, 2*dr, ... while below 1, then r = 1, with dr in
+    (0, 1], and returns the first value for which the concurrence
+    exceeds eps anywhere on the time grid; None if even r=1 never
+    entangles the pair. This is the transient counterpart of the
     quasi-steady threshold constant.
 
     The initial state is affine in r, and so are propagation and
@@ -357,7 +368,9 @@ def transient_entanglement_threshold(
     A and B those of the r=1 and r=0 trajectories, each evaluated once
     per chunk of the grid.
     """
-    purities = [min(1.0, k * dr) for k in range(int(round(1.0 / dr)) + 1)]
+    if not 0.0 < dr <= 1.0:
+        raise ValueError(f"dr must lie in (0, 1], got {dr}")
+    purities = [k * dr for k in range(math.ceil(1.0 / dr) + 1) if k * dr < 1.0] + [1.0]
     grid = time_grid(cfg)
     first = len(purities)  # index of the smallest entangling purity found so far
     for rows in _chunks(len(grid)):

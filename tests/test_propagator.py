@@ -62,12 +62,6 @@ def test_params_validation():
     assert JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=1e-300).lam == 1e-300
 
 
-def test_markovian_classifier():
-    assert MARKOV.markovian
-    assert not NONMARKOV.markovian
-    assert not JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=1.9).markovian
-
-
 def test_rates_start_at_zero():
     for p in REGIMES:
         assert decay_rate_minus(p, 0.0) == 0.0

@@ -126,6 +126,14 @@ def test_config_dict_round_trip():
     assert cfg2.params_b == cfg2.params_a
     assert cfg2.samples == 1501
     assert cfg2.targets == tuple(ReductionTarget)
+    # input of the wrong shape is named, for library callers as for the CLI
+    for bad, key in (
+        ([1, 2], "top level"),
+        ({**slim, "params_a": 5}, "params_a"),
+        ({**slim, "params_b": None}, "params_b"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(bad)
 
 
 def test_time_grid():
@@ -313,6 +321,13 @@ def test_transient_threshold_fig4_scan():
         return concurrence_x_state(reduce_stack(states)[:, ReductionTarget.AB.block]).max()
 
     assert peak(0.37) > 1e-8 >= peak(0.36)
+    # the grid always ends at r = 1: 0, 0.4, 0.8, 1.0 here, and only r = 1
+    # reaches C_AB 0.7 (peaks 0.586 at r = 0.8, 0.914 at r = 1)
+    assert transient_entanglement_threshold(cfg, dr=0.4) == 0.4
+    assert transient_entanglement_threshold(cfg, dr=0.4, eps=0.7) == 1.0
+    for bad in (0.0, -0.1, 3.0, math.nan):
+        with pytest.raises(ValueError, match="dr"):
+            transient_entanglement_threshold(cfg, dr=bad)
 
 
 def test_transient_threshold_cavity_pair():
@@ -383,22 +398,29 @@ def test_cli_evolve_json_output(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "params_a": {"omega": 1.0, "lam": 5.0},
+        "params_b": {"omega": 3.0, "lam": 0.5},
         "purity": 1.0,
         "t_max": 1.0,
         "samples": 3,
         "output": "json",
     }), encoding="utf-8")
-    rc = main(["evolve", "--config", str(cfg_path)])
+    rc = main(["evolve", "--config", str(cfg_path), "--omega", "4"])
     captured = capsys.readouterr()
     assert rc == 0
     payload = json.loads(captured.out)
     assert len(payload["records"]) == 3
+    # the flag sets both partitions; everything else stays as the file has it
+    assert payload["config"]["params_a"] == {"omega0": 0.0, "omega": 4.0, "gamma0": 1.0, "lam": 5.0}
+    assert payload["config"]["params_b"] == {"omega0": 0.0, "omega": 4.0, "gamma0": 1.0, "lam": 0.5}
 
 
 def test_cli_evolve_errors(capsys, tmp_path):
-    # missing everything
+    # missing everything: one line naming every required flag
     assert main(["evolve"]) == 2
-    assert "missing" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing") and err.count("\n") == 1
+    for flag in ("--omega", "--lambda", "--r", "--tmax"):
+        assert flag in err
     # config rejected by validation
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
