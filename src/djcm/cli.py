@@ -151,6 +151,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_steady(args: argparse.Namespace) -> int:
     if args.which == "local":
+        if args.purity is not None:
+            raise ValueError("--r does not apply to the local steady state, which is purity-independent")
         payload = {"which": "local"}
         pair = steady_pair_local()
     else:

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .linalg import dag, hermitian_eig, validate_density_matrix, validate_density_stack
+from .linalg import dag, hermitian_eig, validate_density_stack
 
 __all__ = [
     "concurrence",
@@ -70,24 +70,42 @@ _X_PATTERN[_X_ROWS, _X_COLS] = True
 STEADY_PURITY_THRESHOLD = (-25.0 + 8.0 * math.sqrt(58.0)) / 63.0
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a 4x4 two-qubit state, in [0, 1]."""
-    rho = validate_density_matrix(rho, 4, name="pair state")
+def _check_floor(values: np.ndarray, floor: float, message: str) -> None:
+    """Raise ValueError if the lowest of the per-state `values` is below `floor`.
+
+    `message` is formatted with the state's `label` ("state" for a single
+    matrix, "state[i, j]" in a stack) and its `value`.
+    """
+    if not values.size:
+        return
+    k = np.unravel_index(int(np.argmin(values)), values.shape)
+    if not values[k] >= floor:
+        label = "state" if values.ndim == 0 else f"state[{', '.join(map(str, k))}]"
+        raise ValueError(message.format(label=label, value=values[k]))
+
+
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of two-qubit states, in [0, 1].
+
+    Takes one 4x4 state and returns a float, or a (..., 4, 4) stack and
+    returns an array of shape (...). Raises ValueError, naming the worst
+    state by its stack index, when a state has an eigenvalue below -1e-8
+    or its spin-flip spectrum dips below -1e-10.
+    """
+    rho = validate_density_stack(rho, 4, name="pair state")
     w, v = hermitian_eig(rho)
-    if w[-1] < -1e-8:
-        raise ValueError(f"state has eigenvalue {w[-1]:.3e}, not a density matrix")
+    _check_floor(w[..., -1], -1e-8, "{label} has eigenvalue {value:.3e}, not a density matrix")
     w = np.clip(w, 0.0, None)
     # Rebuild from the clipped spectrum so sqrt(rho) and rho_tilde see the
     # same positive-semidefinite operator.
-    rho_pos = (v * w) @ dag(v)
-    root = (v * np.sqrt(w)) @ dag(v)
+    rho_pos = (v * w[..., None, :]) @ dag(v)
+    root = (v * np.sqrt(w)[..., None, :]) @ dag(v)
     flipped = _SPIN_FLIP @ rho_pos.conj() @ _SPIN_FLIP
-    prod = root @ flipped @ root
-    lam, _ = hermitian_eig(prod)
-    if lam[-1] < -1e-10:
-        raise ValueError(f"spin-flip spectrum went negative ({lam[-1]:.3e})")
+    lam, _ = hermitian_eig(root @ flipped @ root)
+    _check_floor(lam[..., -1], -1e-10, "spin-flip spectrum of {label} went negative ({value:.3e})")
     roots = np.sqrt(np.clip(lam, 0.0, None))
-    return max(0.0, float(roots[0] - roots[1] - roots[2] - roots[3]))
+    c = np.maximum(0.0, roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3])
+    return float(c) if rho.ndim == 2 else c
 
 
 def concurrence_x_state(rho: np.ndarray) -> float | np.ndarray:

@@ -2,11 +2,15 @@
 
 Nothing in here knows the analytical solution. `integrate_single` and
 `integrate_pair` push the density matrix through the time-local master
-equation with a hand-written fixed-step fourth-order Runge-Kutta loop:
-the generator is a dense superoperator on vec(rho), assembled once per
-call from the raw Hamiltonian and jump operators, weighted by the decay
+equation with a hand-written fixed-step fourth-order Runge-Kutta scheme.
+The generator is a superoperator on vec(rho), assembled once per call
+from the raw Hamiltonian and jump operators and weighted by the decay
 rates at the substep times; no reuse of the entry-wise coefficients or
-the tensor-product structure being validated.
+the tensor-product structure being validated. A generic graph step
+splits vec(rho) into the invariant blocks of the generator's sparsity
+pattern, and each step acts on every block through its classical RK4
+step matrix, built from the same three generator evaluations as the
+four stages.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well.
@@ -126,10 +130,11 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
     )
 
 
-# Steps whose decay rates are evaluated together: each chunk asks every
-# rate function once for its 2 * _RATE_CHUNK half-step times, so memory
-# stays bounded (a few hundred kB) whatever the step count.
-_RATE_CHUNK = 2048
+# Most RK4 steps whose step matrices exist at once. A chunk holds whole
+# recording intervals when they are this short, and otherwise a piece of
+# one interval, so memory stays bounded (about 2 MB of temporaries for
+# the pair) whatever the plan; the rates are evaluated once per chunk.
+_STEP_CHUNK = 128
 
 
 def _dressed_hamiltonian(p: JcmParams) -> np.ndarray:
@@ -145,6 +150,48 @@ def _jump_operators() -> tuple[np.ndarray, np.ndarray]:
     return s_plus, s_minus
 
 
+def _invariant_blocks(pattern: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph that links i and j wherever pattern[i, j].
+
+    Every generator whose nonzeros lie inside `pattern` maps the span of
+    each component's coordinates into itself.
+    """
+    linked = pattern | pattern.T
+    unseen = np.ones(len(pattern), dtype=bool)
+    blocks = []
+    for seed in range(len(pattern)):
+        if not unseen[seed]:
+            continue
+        unseen[seed] = False
+        block, frontier = [seed], [seed]
+        while len(frontier):
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & unseen)
+            unseen[frontier] = False
+            block += frontier.tolist()
+        blocks.append(sorted(block))
+    return blocks
+
+
+class _BlockGroup:
+    """K invariant blocks of one size m: the generator restricted to each.
+
+    `idx` (K, m) holds each block's coordinates in vec(rho); `cols`
+    (K*m*m, 1 + C) the stacked ops' entries there, real when none of
+    them has an imaginary part.
+    """
+
+    def __init__(self, ops: np.ndarray, blocks: list[list[int]]) -> None:
+        self.idx = np.array(blocks)
+        k, m = self.idx.shape
+        sub = ops[:, self.idx[:, :, None], self.idx[:, None, :]].reshape(len(ops), -1)
+        self.cols = np.ascontiguousarray((sub if sub.imag.any() else sub.real).T)
+        self.shape = (k, m, m)
+
+    def generators(self, w: np.ndarray) -> np.ndarray:
+        """(K, m, m, T) blocks of L(t) for the (T, 1 + C) weight rows `w`; time last."""
+        return (self.cols @ w.T).reshape(*self.shape, len(w))
+
+
 class _Generator:
     """The master equation as a superoperator on the row-major vec(rho).
 
@@ -156,6 +203,9 @@ class _Generator:
         L_c = S_c kron S_c^* / 2 - (S_c^dag S_c kron 1 + 1 kron (S_c^dag S_c)^T) / 4.
 
     `ops` stacks L0 and the L_c; `channels` holds each L_c's (params, rate).
+    `groups` splits the coordinates into the invariant blocks of the union
+    of the ops' sparsity patterns, grouped by block size: L(t) is block
+    diagonal there at every t, whatever the rates.
     """
 
     def __init__(self, h: np.ndarray, channels) -> None:
@@ -169,9 +219,14 @@ class _Generator:
         self.dim = len(h) ** 2
         self.ops = np.array(ops, dtype=complex)
         self.channels = tuple((p, rate) for _, p, rate in channels)
-        # real weights scale real and imaginary parts alike, so one real
-        # matrix product over the interleaved float view sums the ops
-        self._flat = self.ops.reshape(len(ops), -1).view(float)
+        blocks = _invariant_blocks((self.ops != 0).any(axis=0))
+        sizes = sorted({len(b) for b in blocks}, reverse=True)
+        self.groups = [_BlockGroup(self.ops, [b for b in blocks if len(b) == m]) for m in sizes]
+        inside = np.zeros((self.dim, self.dim), dtype=bool)
+        for g in self.groups:
+            inside[g.idx[:, :, None], g.idx[:, None, :]] = True
+        if self.ops[:, ~inside].any():
+            raise RuntimeError("a generator entry lies outside its invariant blocks")
 
     def weights(self, times: np.ndarray) -> np.ndarray:
         """(T, 1 + C) real weights of the stacked ops: 1, then each rate at each time."""
@@ -180,13 +235,9 @@ class _Generator:
             w[:, c + 1] = rate(p, times)
         return w
 
-    def combine(self, w: np.ndarray) -> np.ndarray:
-        """(T, d*d, d*d) generators L(t) for the (T, 1 + C) weight rows `w`."""
-        return (w @ self._flat).view(complex).reshape(len(w), self.dim, self.dim)
-
     def at(self, times: np.ndarray) -> np.ndarray:
-        """(T, d*d, d*d) generators at the given times."""
-        return self.combine(self.weights(times))
+        """(T, d*d, d*d) dense generators L(t) at the given times."""
+        return np.tensordot(self.weights(times), self.ops, axes=1)
 
 
 def _single_generator(p: JcmParams) -> _Generator:
@@ -218,40 +269,123 @@ def _pair_generator(p_a: JcmParams, p_b: JcmParams) -> _Generator:
     return _Generator(h, channels)
 
 
-def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -> Trajectory:
-    """Classical RK4 on vec(rho): four generator-vector products per step.
+# Largest block whose products `_mul` sums by broadcasting; bigger blocks
+# go through np.matmul, which wins from 5x5 up on this kind of stack.
+_BROADCAST_MAX = 4
 
-    Step k needs L at k*h, (k + 1/2)*h and (k + 1)*h. The rates come from
-    the half-step grid j*h/2, one call per channel per chunk of steps;
-    each step forms its two new generators in one product and reuses the
-    previous step's end generator as its start.
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products over axes 1 and 2 of (K, m, m, ...) stacks, batched over the rest.
+
+    Small blocks sum over j by broadcasting, which keeps the long batch
+    axes innermost; np.matmul's per-matrix loop would dominate there.
+    """
+    if a.shape[2] > _BROADCAST_MAX:
+        prod = np.moveaxis(a, (1, 2), (-2, -1)) @ np.moveaxis(b, (1, 2), (-2, -1))
+        return np.moveaxis(prod, (-2, -1), (1, 2))
+    out = a[:, :, 0, None] * b[:, None, 0]
+    term = np.empty_like(out)
+    for j in range(1, a.shape[2]):
+        out += np.multiply(a[:, :, j, None], b[:, None, j], out=term)
+    return out
+
+
+def _plus_identity(a: np.ndarray) -> np.ndarray:
+    """a + I on axes 1 and 2 of a (K, m, m, ...) stack, in place."""
+    diag = np.arange(a.shape[1])
+    a[:, diag, diag] += 1.0
+    return a
+
+
+def _step_matrices(l_ends: np.ndarray, l_mids: np.ndarray, h: float) -> np.ndarray:
+    """(K, m, m, S) classical RK4 step matrices of S consecutive steps.
+
+    `l_ends` (K, m, m, S + 1) holds L at the steps' ends kh and `l_mids`
+    (K, m, m, S) at their midpoints (k + 1/2)h; time is the last axis. With
+    A = L(kh), B = L((k + 1/2)h) and C = L((k + 1)h), the stages k1..k4 of
+    v' = v + h/6 (k1 + 2 k2 + 2 k3 + k4) are A v, B P1 v, B P2 v and C P3 v
+    for P1 = I + (h/2) A, P2 = I + (h/2) B P1 and P3 = I + h B P2, so
+    v' = M v with M = I + (h/6)(A + 2 B P1 + 2 B P2 + C P3).
+    """
+    a, b, c = l_ends[..., :-1], l_mids, l_ends[..., 1:]
+    bp = _mul(b, _plus_identity((0.5 * h) * a))  # B P1
+    total = a + 2.0 * bp
+    bp *= 0.5 * h
+    bp = _mul(b, _plus_identity(bp))  # B P2
+    total += 2.0 * bp
+    bp *= h
+    total += _mul(c, _plus_identity(bp))  # C P3
+    total *= h / 6.0
+    return _plus_identity(total)
+
+
+def _product(steps: np.ndarray) -> np.ndarray:
+    """(K, m, m, q) products M_{L-1} ... M_0 of the step matrices along the last axis of (K, m, m, q, L).
+
+    Neighbours are multiplied pairwise, so there are about log2(L)
+    batched products rather than L - 1.
+    """
+    while steps.shape[-1] > 1:
+        paired = _mul(steps[..., 1::2], steps[..., 0:-1:2])
+        if steps.shape[-1] % 2:  # the latest step waits for the next round
+            paired = np.concatenate([paired, steps[..., -1:]], axis=-1)
+        steps = paired
+    return steps[..., 0]
+
+
+def _chunks(n: int, every: int, size: int):
+    """(first step, q, span): q consecutive runs of `span` steps from `first`.
+
+    Recording intervals of at most `size` steps are taken whole, as many
+    as fit; a longer interval is cut into pieces of at most `size`. A run
+    never straddles a recording point.
+    """
+    if every <= size:
+        per = size // every * every
+        for first in range(0, n, per):
+            yield first, min(per, n - first) // every, every
+    else:
+        for start in range(0, n, every):
+            for first in range(start, start + every, size):
+                yield first, 1, min(size, start + every - first)
+
+
+def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -> Trajectory:
+    """Classical RK4 on vec(rho), one step matrix per step and invariant block.
+
+    Per chunk, the rates come from the half-step grid j*h/2 in one call
+    per channel. Each block group forms the chunk's step matrices, then
+    the products over each run of steps that ends at or before the next
+    recording point (`_chunks`), and applies them to its part of vec(rho)
+    in order.
     """
     n = cfg.n_steps()
-    if n % cfg.record_every != 0:
-        raise ValueError(
-            f"record_every {cfg.record_every} does not divide {n} steps"
-        )
+    every = cfg.record_every
+    if n % every != 0:
+        raise ValueError(f"record_every {every} does not divide {n} steps")
     h = cfg.step
     d = rho0.shape[0]
-    states = np.empty((n // cfg.record_every + 1, d, d), dtype=complex)
+    states = np.empty((n // every + 1, d, d), dtype=complex)
     states[0] = rho0
-    rho = states[0].reshape(-1).copy()
-    l_end = gen.at(np.zeros(1))[0]
-    for first in range(0, n, _RATE_CHUNK):
-        last = min(n, first + _RATE_CHUNK)
-        # half-step times (2k + 1)*h/2 and (2k + 2)*h/2 for k in [first, last)
-        w = gen.weights(np.arange(2 * first + 1, 2 * last + 1) * (0.5 * h))
-        for k in range(first, last):
-            l_start = l_end
-            l_mid, l_end = gen.combine(w[2 * (k - first) : 2 * (k - first) + 2])
-            k1 = l_start @ rho
-            k2 = l_mid @ (rho + 0.5 * h * k1)
-            k3 = l_mid @ (rho + 0.5 * h * k2)
-            k4 = l_end @ (rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (k + 1) % cfg.record_every == 0:
-                states[(k + 1) // cfg.record_every] = rho.reshape(d, d)
-    times = np.arange(len(states)) * cfg.record_every * h
+    parts = [rho0.reshape(-1)[g.idx] for g in gen.groups]
+    for first, q, span in _chunks(n, every, _STEP_CHUNK):
+        w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
+        runs = [
+            _product(
+                _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(
+                    *g.shape, q, span
+                )
+            )
+            for g in gen.groups
+        ]
+        for j in range(q):
+            parts = [np.einsum("kij,kj->ki", run[..., j], part) for run, part in zip(runs, parts)]
+            end = first + (j + 1) * span
+            if end % every == 0:
+                flat = states[end // every].reshape(-1)
+                for g, part in zip(gen.groups, parts):
+                    flat[g.idx] = part
+    times = np.arange(len(states)) * every * h
     traj = Trajectory(times=times, states=states, params=params)
     drift = float(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max())
     if not (drift <= 1e-8):

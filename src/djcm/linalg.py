@@ -28,8 +28,8 @@ _TRACE_TOL = 1e-10
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def validate_density_matrix(rho: np.ndarray, dim: int, *, name: str = "state") -> np.ndarray:
@@ -75,25 +75,27 @@ def validate_density_stack(rho: np.ndarray, dim: int, *, name: str = "state") ->
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of Hermitian matrices, eigenvalues descending.
 
-    Returns (w, v) with m = v @ diag(w) @ v^dagger and the columns of v
-    orthonormal. Raises ValueError if m is not Hermitian to within
-    1e-10, naming the worst offending entry.
+    Takes one n x n matrix or a (..., n, n) stack. Returns (w, v) with
+    m = v @ diag(w) @ v^dagger for each matrix and the columns of v
+    orthonormal. Raises ValueError if a matrix is not Hermitian to within
+    1e-10, naming the worst offending entry (and, in a stack, its index).
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    diff = np.abs(m - m.conj().T)
-    defect = float(diff.max())
-    if not defect <= _HERM_TOL:
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+    mirror = dag(m)
+    diff = np.abs(m - mirror)
+    if diff.size and not diff.max() <= _HERM_TOL:
+        k = np.unravel_index(int(diff.argmax()), diff.shape)
+        where = "" if m.ndim == 2 else f"matrix [{', '.join(map(str, k[:-2]))}] "
         raise ValueError(
-            f"matrix is not Hermitian: entry ({i},{j}) differs from its "
-            f"mirror by {defect:.3e}"
+            f"matrix is not Hermitian: {where}entry ({k[-2]},{k[-1]}) differs from its "
+            f"mirror by {diff[k]:.3e}"
         )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    w, v = np.linalg.eigh((m + mirror) / 2.0)
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def partial_trace_qubits(m: np.ndarray, total_qubits: int, keep: tuple[int, ...]) -> np.ndarray:

@@ -12,6 +12,7 @@ Everything is deterministic; identical configs give byte-identical CSV.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -80,6 +81,9 @@ MAX_SAMPLES = 10**6
 # the checking route and their temporaries stay well under a megabyte,
 # whatever the grid size.
 CHUNK_ROWS = 256
+
+# Most steps of the purity grid `transient_entanglement_threshold` scans.
+_MAX_PURITIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,7 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     rows = np.unique(np.linspace(0, cfg.samples - 1, min(cfg.samples, 101)).round().astype(int))
     times = time_grid(cfg)[rows]
     blocks = reduce_stack(propagate_pairs(pair0, cfg.params_a, cfg.params_b, times))
-    spectral = np.array([[concurrence(b) for b in row] for row in blocks])
+    spectral = concurrence(blocks)
     kernel = concurrence_x_entries(pair_x_entries(cfg.params_a, cfg.params_b, cfg.purity, times))
     dev_routes = float(np.abs(kernel - spectral).max())
 
@@ -349,6 +353,15 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     return report
 
 
+def _purity_grid(dr: float):
+    """r = 0, dr, 2*dr, ... while below 1, then r = 1, generated one at a time."""
+    k = 0
+    while k * dr < 1.0:
+        yield k * dr
+        k += 1
+    yield 1.0
+
+
 def transient_entanglement_threshold(
     cfg: ScenarioConfig,
     target: ReductionTarget = ReductionTarget.AB,
@@ -357,11 +370,11 @@ def transient_entanglement_threshold(
 ) -> float | None:
     """Smallest purity (on a dr grid) whose trajectory ever entangles `target`.
 
-    Scans r = 0, dr, 2*dr, ... while below 1, then r = 1, with dr in
-    (0, 1], and returns the first value for which the concurrence
-    exceeds eps anywhere on the time grid; None if even r=1 never
-    entangles the pair. This is the transient counterpart of the
-    quasi-steady threshold constant.
+    Scans r = 0, dr, 2*dr, ... while below 1, then r = 1, and returns the
+    first value for which the concurrence exceeds eps anywhere on the
+    time grid; None if even r=1 never entangles the pair. This is the
+    transient counterpart of the quasi-steady threshold constant. dr
+    must lie in [1e-6, 1], so the grid holds at most about 10**6 purities.
 
     The initial state is affine in r, and so are propagation and
     reduction: the `target` X entries at purity r are r*A + (1-r)*B, with
@@ -370,16 +383,20 @@ def transient_entanglement_threshold(
     """
     if not 0.0 < dr <= 1.0:
         raise ValueError(f"dr must lie in (0, 1], got {dr}")
-    purities = [k * dr for k in range(math.ceil(1.0 / dr) + 1) if k * dr < 1.0] + [1.0]
+    if not 1.0 / dr <= _MAX_PURITIES:
+        raise ValueError(
+            f"dr must be at least {1.0 / _MAX_PURITIES:g}, which caps the purity grid "
+            f"at {_MAX_PURITIES} steps; got {dr}"
+        )
     grid = time_grid(cfg)
-    first = len(purities)  # index of the smallest entangling purity found so far
+    first = found = None  # grid index and value of the smallest entangling purity so far
     for rows in _chunks(len(grid)):
         a, b = (
             pair_x_entries(cfg.params_a, cfg.params_b, r, grid[rows])[:, target.block]
             for r in (1.0, 0.0)
         )
-        for k, r in enumerate(purities[:first]):
+        for k, r in enumerate(itertools.islice(_purity_grid(dr), first)):
             if (concurrence_x_entries(r * a + (1.0 - r) * b) > eps).any():
-                first = k
+                first, found = k, r
                 break
-    return purities[first] if first < len(purities) else None
+    return found

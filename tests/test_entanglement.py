@@ -147,6 +147,34 @@ def test_concurrence_rejects_nonstates():
         concurrence(bad)
 
 
+def test_spectral_concurrence_takes_stacks():
+    rng = np.random.default_rng(31)
+    singles = []
+    for _ in range(6):
+        u = np.kron(_random_unitary(rng), _random_unitary(rng))
+        singles.append(u @ _random_x_state(rng) @ u.conj().T)
+    singles += [_bell("psi+"), _werner(0.2)]
+    stack = np.array(singles).reshape(2, 4, 4, 4)
+    got = concurrence(stack)
+    assert got.shape == (2, 4)
+    # a stack gives exactly what one call per matrix gives
+    assert np.array_equal(got.ravel(), [concurrence(m) for m in singles])
+    assert isinstance(concurrence(singles[0]), float)
+    assert concurrence(np.empty((0, 4, 4))).shape == (0,)
+
+
+def test_spectral_concurrence_names_the_failing_state_of_a_stack():
+    bad = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
+    stack = np.array([[_werner(0.5), _werner(0.1)], [_werner(0.9), bad]])
+    with pytest.raises(ValueError, match=r"state\[1, 1\] has eigenvalue -1.000e-01"):
+        concurrence(stack)
+    with pytest.raises(ValueError, match=r"^state has eigenvalue"):
+        concurrence(bad)
+    stack[0, 1, 0, 3] += 1e-6  # not Hermitian
+    with pytest.raises(ValueError, match=r"\[0, 1\] is not Hermitian"):
+        concurrence(stack)
+
+
 def test_steady_local_pair():
     m = steady_pair_local()
     assert abs(m.trace() - 1.0) < 1e-15

@@ -9,6 +9,7 @@ since a silently under-resolved oracle would pass everything.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,14 +171,144 @@ def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
     cfg = oracle_config(1.0, 11, P, P_MEMORY)
     assert cfg.n_steps() > 100 and cfg.record_every > 1
     rho0 = initial_state(0.7)
+    monkeypatch.setattr(integrate, "_STEP_CHUNK", cfg.n_steps())  # one chunk
     whole = integrate_pair(rho0, P, P_MEMORY, cfg)
-    assert cfg.n_steps() <= integrate._RATE_CHUNK  # one chunk
-    monkeypatch.setattr(integrate, "_RATE_CHUNK", 7)  # divides neither n nor record_every
+    monkeypatch.setattr(integrate, "_STEP_CHUNK", 7)  # divides neither n nor record_every
     chunked = integrate_pair(rho0, P, P_MEMORY, cfg)
     assert np.array_equal(chunked.times, whole.times)
     assert len(chunked) == 11
     assert np.array_equal(chunked.states[0], rho0)
     assert np.abs(chunked.states - whole.states).max() < 1e-15
+
+
+def _block_labels(gen) -> np.ndarray:
+    """Block number of every vec(rho) coordinate; each coordinate in exactly one block."""
+    labels = np.full(gen.dim, -1)
+    count = 0
+    for group in gen.groups:
+        for block in group.idx:
+            assert (labels[block] == -1).all()
+            labels[block] = count
+            count += 1
+    assert (labels >= 0).all()
+    return labels
+
+
+def _dense_operators():
+    rng = np.random.default_rng(11)
+    h = _random_matrix(rng, 3)
+    return h + h.conj().T, _random_matrix(rng, 3)
+
+
+def _dense_generator():
+    h, s = _dense_operators()
+    return integrate._Generator(h, ((s, P, decay_rate_plus),))
+
+
+@pytest.mark.parametrize(
+    "gen, sizes",
+    [
+        (integrate._single_generator(P_MEMORY), [3] + [1] * 6),
+        (integrate._pair_generator(P, P_MEMORY), [9] + [3] * 12 + [1] * 36),
+        (_dense_generator(), [9]),
+    ],
+    ids=["single", "pair", "dense"],
+)
+def test_invariant_blocks_partition_the_coordinates_and_hold_every_op_entry(gen, sizes):
+    labels = _block_labels(gen)
+    assert sorted((len(b) for g in gen.groups for b in g.idx), reverse=True) == sizes
+    rows, cols = np.nonzero(np.abs(gen.ops).sum(axis=0))
+    assert (labels[rows] == labels[cols]).all()
+    # each group's op entries are the ops restricted to its blocks
+    for g in gen.groups:
+        sub = gen.ops[:, g.idx[:, :, None], g.idx[:, None, :]]
+        assert np.array_equal(g.cols.T.reshape(sub.shape), sub)
+
+
+def _stagewise_rk4(rho0, h_op, jumps, rates, cfg):
+    """Textbook RK4 on the matrix form of the master equation, recording every k-th step."""
+    def rhs(rho, t):
+        return _master_equation(rho, h_op, jumps, [rate(t) for rate in rates])
+
+    rho, step, states = rho0.astype(complex), cfg.step, [rho0]
+    for k in range(cfg.n_steps()):
+        t = k * step
+        k1 = rhs(rho, t)
+        k2 = rhs(rho + 0.5 * step * k1, t + 0.5 * step)
+        k3 = rhs(rho + 0.5 * step * k2, t + 0.5 * step)
+        k4 = rhs(rho + step * k3, t + step)
+        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % cfg.record_every == 0:
+            states.append(rho)
+    return np.array(states)
+
+
+def _partition_channels(p: JcmParams, lift):
+    s_plus = np.zeros((3, 3))
+    s_plus[2, 0] = 1.0
+    s_minus = np.zeros((3, 3))
+    s_minus[2, 1] = 1.0
+    return (
+        [lift(s_plus), lift(s_minus)],
+        [lambda t: decay_rate_plus(p, t), lambda t: decay_rate_minus(p, t)],
+    )
+
+
+def test_step_matrices_match_stagewise_rk4_on_a_distinct_pair():
+    p_a = JcmParams(omega0=0.3, omega=1.0, gamma0=1.0, lam=0.05)
+    p_b = JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2)
+    cfg = oracle_config(3.0, 31, p_a, p_b)
+    assert cfg.record_every > 1
+    rng = np.random.default_rng(3)
+    a = _random_matrix(rng, 9)
+    rho0 = a @ a.conj().T
+    rho0 /= rho0.trace()
+    eye = np.eye(3)
+    jumps_a, rates_a = _partition_channels(p_a, lambda m: np.kron(m, eye))
+    jumps_b, rates_b = _partition_channels(p_b, lambda m: np.kron(eye, m))
+    h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
+    expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
+    got = integrate_pair(rho0, p_a, p_b, cfg).states
+    assert np.abs(got - expected).max() < 1e-13
+
+
+def test_step_matrices_match_stagewise_rk4_while_the_upper_rate_is_negative():
+    cfg = oracle_config(12.0, 25, P_MEMORY)
+    times = np.arange(cfg.n_steps() + 1) * cfg.step
+    assert (decay_rate_plus(P_MEMORY, times) < 0.0).any()
+    jumps, rates = _partition_channels(P_MEMORY, lambda m: m)
+    rho0 = _uniform3()
+    expected = _stagewise_rk4(rho0, _dressed_h(P_MEMORY), jumps, rates, cfg)
+    got = integrate_single(rho0, P_MEMORY, cfg).states
+    assert np.abs(got - expected).max() < 1e-13
+
+
+def test_step_matrices_match_stagewise_rk4_on_a_dense_generator():
+    # one block whose ops do not commute: the order of the step products matters
+    h, s = _dense_operators()
+    gen = _dense_generator()
+    assert not np.allclose(gen.ops[0] @ gen.ops[1], gen.ops[1] @ gen.ops[0])
+    cfg = IntegratorConfig(step=0.002, t_end=0.6, record_every=30)
+    rho0 = _uniform3()
+    expected = _stagewise_rk4(rho0, h, [s], [lambda t: decay_rate_plus(P, t)], cfg)
+    got = integrate._run_rk4(rho0, gen, cfg, (P,)).states
+    assert np.abs(got - expected).max() < 1e-13
+
+
+def test_a_long_recording_interval_runs_in_bounded_memory():
+    # 20,000 steps between two recorded states: only a chunk of step
+    # matrices may exist at a time, not the whole interval's (~70 MB)
+    cfg = IntegratorConfig(step=0.001, t_end=20.0, record_every=20_000)
+    rho0 = initial_state(1.0)
+    tracemalloc.start()
+    try:
+        traj = integrate_pair(rho0, P, P, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 2
+    assert np.abs(traj.states[-1] - propagate_pair(rho0, P, P, 20.0)).max() < 1e-6
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _nan_after_one(rate):

@@ -330,6 +330,19 @@ def test_transient_threshold_fig4_scan():
             transient_entanglement_threshold(cfg, dr=bad)
 
 
+def test_transient_threshold_purity_grids_keep_their_values():
+    for dr in (0.01, 0.1, 0.25, 0.4):
+        listed = [k * dr for k in range(math.ceil(1.0 / dr) + 1) if k * dr < 1.0] + [1.0]
+        assert list(scenarios._purity_grid(dr)) == listed
+
+
+def test_transient_threshold_refuses_grids_beyond_a_million_purities():
+    cfg = _small_cfg(samples=11)
+    for tiny in (5e-324, 1e-9, 9.9e-7):
+        with pytest.raises(ValueError, match="dr must be at least 1e-06"):
+            transient_entanglement_threshold(cfg, dr=tiny)
+
+
 def test_transient_threshold_cavity_pair():
     # the cavity pair starts at its Werner concurrence, so the scan must
     # stop at the first grid value past 1/3
@@ -629,6 +642,13 @@ def test_cli_steady_nonlocal(capsys):
     main(["steady", "--which", "nonlocal", "--r", "0.5"])
     low = json.loads(capsys.readouterr().out)
     assert low["concurrence"] == 0.0
+
+
+def test_cli_steady_local_rejects_r(capsys):
+    assert main(["steady", "--which", "local", "--r", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --r does not apply")
 
 
 def test_cli_steady_requires_r_for_nonlocal(capsys):
