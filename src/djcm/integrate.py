@@ -10,10 +10,14 @@ the tensor-product structure being validated. A generic graph step
 splits vec(rho) into the invariant blocks of the generator's sparsity
 pattern, and each step acts on every block through its classical RK4
 step matrix, built from the same three generator evaluations as the
-four stages.
+four stages. Blocks whose restricted ops are exactly equal, or exactly
+complex conjugate (a Hermiticity-preserving generator pairs them up),
+share one representative's step matrices, conjugated where needed.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
-closed-form rate expressions get an independent check as well.
+closed-form rate expressions get an independent check as well. A whole
+time grid is integrated once, piece by piece between consecutive times,
+on sub-panels short enough that the oscillating integrand cannot alias.
 
 Fixed step rather than adaptive on purpose: the error budget and the
 fourth-order convergence check both want a step that is known exactly.
@@ -175,21 +179,40 @@ def _invariant_blocks(pattern: np.ndarray) -> list[list[int]]:
 class _BlockGroup:
     """K invariant blocks of one size m: the generator restricted to each.
 
-    `idx` (K, m) holds each block's coordinates in vec(rho); `cols`
-    (K*m*m, 1 + C) the stacked ops' entries there, real when none of
-    them has an imaginary part.
+    `idx` (K, m) holds each block's coordinates in vec(rho). Blocks whose
+    restricted op stacks are exactly equal, or exactly equal after complex
+    conjugation, share a representative: the first block of their class.
+    `rep` (K,) is each block's position among the R representatives and
+    `flip` (K,) marks the conjugated ones. `cols` (R*m*m, 1 + C) holds the
+    representatives' op entries, real when none of them has an imaginary
+    part. With real weights, a flagged block's L(t), step matrices and
+    their products are the exact complex conjugates of its
+    representative's.
     """
 
     def __init__(self, ops: np.ndarray, blocks: list[list[int]]) -> None:
         self.idx = np.array(blocks)
         k, m = self.idx.shape
-        sub = ops[:, self.idx[:, :, None], self.idx[:, None, :]].reshape(len(ops), -1)
+        sub = ops[:, self.idx[:, :, None], self.idx[:, None, :]]  # (1 + C, K, m, m)
+        flat = np.moveaxis(sub, 1, 0).reshape(k, -1)  # each block's op stack
+        same = (flat[:, None] == flat).all(axis=2)
+        mirror = (flat[:, None] == flat.conj()).all(axis=2)
+        first = (same | mirror).argmax(axis=1)  # the earliest block of each class
+        reps, self.rep = np.unique(first, return_inverse=True)
+        self.flip = ~same[np.arange(k), first]
+        sub = sub[:, reps].reshape(len(ops), -1)
         self.cols = np.ascontiguousarray((sub if sub.imag.any() else sub.real).T)
-        self.shape = (k, m, m)
+        self.shape = (len(reps), m, m)
 
     def generators(self, w: np.ndarray) -> np.ndarray:
-        """(K, m, m, T) blocks of L(t) for the (T, 1 + C) weight rows `w`; time last."""
+        """(R, m, m, T) representatives' blocks of L(t) for the (T, 1 + C) weight rows `w`; time last."""
         return (self.cols @ w.T).reshape(*self.shape, len(w))
+
+    def expand(self, stack: np.ndarray) -> np.ndarray:
+        """(K, ...) per-block stack from the representatives' (R, ...) stack."""
+        out = stack[self.rep]
+        out[self.flip] = out[self.flip].conj()
+        return out
 
 
 class _Generator:
@@ -354,10 +377,11 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     """Classical RK4 on vec(rho), one step matrix per step and invariant block.
 
     Per chunk, the rates come from the half-step grid j*h/2 in one call
-    per channel. Each block group forms the chunk's step matrices, then
-    the products over each run of steps that ends at or before the next
-    recording point (`_chunks`), and applies them to its part of vec(rho)
-    in order.
+    per channel. Each block group forms the chunk's step matrices for its
+    representatives, then the products over each run of steps that ends
+    at or before the next recording point (`_chunks`), expands those to
+    every block (`_BlockGroup.expand`) and applies them to its part of
+    vec(rho) in order.
     """
     n = cfg.n_steps()
     every = cfg.record_every
@@ -371,9 +395,11 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     for first, q, span in _chunks(n, every, _STEP_CHUNK):
         w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
         runs = [
-            _product(
-                _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(
-                    *g.shape, q, span
+            g.expand(
+                _product(
+                    _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(
+                        *g.shape, q, span
+                    )
                 )
             )
             for g in gen.groups
@@ -449,8 +475,14 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def rate_from_spectral_density(p: JcmParams, omega: float, t: float) -> float:
-    """Decay rate at frequency omega and time t, from the reservoir correlation function.
+# Most equal sub-panels `rate_from_spectral_density` cuts [0, max t] into;
+# the validate grid of the most strongly detuned preset (fig2c, t <= 10)
+# needs about 340. A larger plan is refused before anything is integrated.
+_MAX_SUBPANELS = 1_000_000
+
+
+def rate_from_spectral_density(p: JcmParams, omega: float, t):
+    """Decay rate at frequency omega and time(s) t, from the reservoir correlation function.
 
     The Lorentzian reservoir (width lam, centered on the lower dressed
     transition omega0 - omega_coupling) has correlation function
@@ -461,15 +493,56 @@ def rate_from_spectral_density(p: JcmParams, omega: float, t: float) -> float:
 
     evaluated here by adaptive Simpson quadrature. No closed-form rate
     expression is reused.
+
+    `t` is one time (the rate comes back as a float) or an array of
+    times (an array of rates of the same shape). The sorted times cut
+    [0, max t] into consecutive pieces [t_{k-1}, t_k]; each piece is
+    integrated once and the rates are the running sums, so a whole time
+    grid costs about as much as its largest time. Adaptive Simpson is
+    fooled by aliasing (Lyness, J. ACM 16, 483 (1969)): on a panel that
+    spans whole oscillation periods its few samples can miss the
+    oscillation, so the whole-panel and half-panel estimates agree while
+    both are wrong. So each piece is first cut into
+    ceil(length (|omega - center| + lam) / pi) equal sub-panels, none
+    longer than half a period, and adaptive Simpson runs on each with an
+    absolute tolerance of 1e-12 * (sub-panel length / max t): the budgets
+    add up to 1e-12 on every [0, t]. Raises ValueError for a time that
+    is negative, NaN or infinite, and for a grid that would need more
+    than a million sub-panels.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError(f"t must be finite, got {times[~np.isfinite(times)].flat[0]}")
+    if (times < 0.0).any():
+        raise ValueError(f"t must be non-negative, got {times[times < 0.0].flat[0]}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     center = p.omega0 - p.omega
     detuning = omega - center
 
     def integrand(tau: float) -> float:
         return p.gamma0 * p.lam * math.exp(-p.lam * tau) * math.cos(detuning * tau)
 
-    # tight tolerance: on strongly detuned branches the panel errors add
-    # up coherently over many oscillation periods
-    return adaptive_simpson(integrand, 0.0, t, tol=1e-12)
+    order = np.argsort(times, axis=None)
+    ends = times.reshape(-1)[order]
+    t_max = float(ends[-1]) if len(ends) else 0.0
+    per_unit = (abs(detuning) + p.lam) / math.pi  # sub-panels per unit time
+    if t_max * per_unit > _MAX_SUBPANELS:
+        raise ValueError(
+            f"t up to {t_max:g} would need {math.ceil(t_max * per_unit)} quadrature "
+            f"sub-panels, more than the cap of {_MAX_SUBPANELS}"
+        )
+    pieces = np.zeros(len(ends))
+    start = 0.0
+    for k, end in enumerate(ends.tolist()):
+        if end > start:
+            edges = np.linspace(start, end, max(1, math.ceil((end - start) * per_unit)) + 1)
+            tol = 1e-12 * (edges[1] - edges[0]) / t_max
+            pieces[k] = math.fsum(
+                adaptive_simpson(integrand, a, b, tol=tol)
+                for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())
+            )
+        start = end
+    rates = np.empty(len(ends))
+    rates[order] = np.cumsum(pieces)
+    return float(rates[0]) if times.ndim == 0 else rates.reshape(times.shape)

@@ -319,8 +319,8 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     rate_times = np.linspace(0.0, min(cfg.t_max, 10.0), 21)
     dev_minus = dev_plus = 0.0
     for p in param_sets:
-        quad_minus = [rate_from_spectral_density(p, p.omega0 - p.omega, float(t)) for t in rate_times]
-        quad_plus = [rate_from_spectral_density(p, p.omega0 + p.omega, float(t)) for t in rate_times]
+        quad_minus = rate_from_spectral_density(p, p.omega0 - p.omega, rate_times)
+        quad_plus = rate_from_spectral_density(p, p.omega0 + p.omega, rate_times)
         dev_minus = np.maximum(dev_minus, np.abs(quad_minus - decay_rate_minus(p, rate_times)).max())
         dev_plus = np.maximum(dev_plus, np.abs(quad_plus - decay_rate_plus(p, rate_times)).max())
 

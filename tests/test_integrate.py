@@ -32,6 +32,7 @@ from djcm.propagator import (
     decay_rate_plus,
     propagate_single,
 )
+from djcm.scenarios import PRESET_NAMES, preset_config
 from djcm.states import initial_state
 
 P = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
@@ -206,23 +207,28 @@ def _dense_generator():
 
 
 @pytest.mark.parametrize(
-    "gen, sizes",
+    "gen, sizes, reps",
     [
-        (integrate._single_generator(P_MEMORY), [3] + [1] * 6),
-        (integrate._pair_generator(P, P_MEMORY), [9] + [3] * 12 + [1] * 36),
-        (_dense_generator(), [9]),
+        (integrate._single_generator(P_MEMORY), [3] + [1] * 6, [1, 3]),
+        (integrate._pair_generator(P, P_MEMORY), [9] + [3] * 12 + [1] * 36, [1, 6, 18]),
+        (_dense_generator(), [9], [1]),
     ],
     ids=["single", "pair", "dense"],
 )
-def test_invariant_blocks_partition_the_coordinates_and_hold_every_op_entry(gen, sizes):
+def test_invariant_blocks_partition_the_coordinates_and_hold_every_op_entry(gen, sizes, reps):
     labels = _block_labels(gen)
     assert sorted((len(b) for g in gen.groups for b in g.idx), reverse=True) == sizes
     rows, cols = np.nonzero(np.abs(gen.ops).sum(axis=0))
     assert (labels[rows] == labels[cols]).all()
-    # each group's op entries are the ops restricted to its blocks
+    # a Hermiticity-preserving generator pairs blocks up as complex conjugates
+    assert [g.shape[0] for g in gen.groups] == reps
+    # every block's op entries are the ops restricted to it: its
+    # representative's entries, conjugated where the block is flagged
     for g in gen.groups:
         sub = gen.ops[:, g.idx[:, :, None], g.idx[:, None, :]]
-        assert np.array_equal(g.cols.T.reshape(sub.shape), sub)
+        own = g.cols.T.reshape(len(gen.ops), *g.shape)[:, g.rep]
+        own[:, g.flip] = own[:, g.flip].conj()
+        assert np.array_equal(own, sub)
 
 
 def _stagewise_rk4(rho0, h_op, jumps, rates, cfg):
@@ -269,6 +275,26 @@ def test_step_matrices_match_stagewise_rk4_on_a_distinct_pair():
     h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
     expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
     got = integrate_pair(rho0, p_a, p_b, cfg).states
+    assert np.abs(got - expected).max() < 1e-13
+
+
+def test_shared_step_matrices_match_stagewise_rk4_on_a_non_hermitian_vector():
+    # blocks share conjugated step matrices; the vector they act on need
+    # not be Hermitian for that, so a generic complex matrix must agree too
+    p_a = JcmParams(omega0=0.3, omega=1.0, gamma0=1.0, lam=0.05)
+    p_b = JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2)
+    cfg = oracle_config(3.0, 31, p_a, p_b)
+    rho0 = _random_matrix(np.random.default_rng(17), 9)
+    rho0 /= rho0.trace()
+    assert np.abs(rho0 - rho0.conj().T).max() > 0.5
+    eye = np.eye(3)
+    jumps_a, rates_a = _partition_channels(p_a, lambda m: np.kron(m, eye))
+    jumps_b, rates_b = _partition_channels(p_b, lambda m: np.kron(eye, m))
+    h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
+    expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
+    gen = integrate._pair_generator(p_a, p_b)
+    assert any(g.flip.any() for g in gen.groups)
+    got = integrate._run_rk4(rho0, gen, cfg, (p_a, p_b)).states
     assert np.abs(got - expected).max() < 1e-13
 
 
@@ -447,6 +473,49 @@ def test_quadrature_rate_generic_detuning_long_time_lorentzian():
         assert abs(quad - lorentz) < 1e-6
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_quadrature_matches_both_branches_on_every_validate_rate_grid(name):
+    # the grid `validation_report` integrates; on the strongly detuned
+    # upper branch (fig2c, fig4) adaptive Simpson over whole periods was
+    # fooled by aliasing into errors of 3.9e-9
+    cfg = preset_config(name)
+    times = np.linspace(0.0, min(cfg.t_max, 10.0), 21)
+    for p in {cfg.params_a, cfg.params_b}:
+        lower = rate_from_spectral_density(p, p.omega0 - p.omega, times)
+        upper = rate_from_spectral_density(p, p.omega0 + p.omega, times)
+        assert np.abs(lower - decay_rate_minus(p, times)).max() <= 1e-12
+        assert np.abs(upper - decay_rate_plus(p, times)).max() <= 1e-12
+
+
+def test_quadrature_over_a_time_grid_keeps_its_shape_and_order():
+    omega = P.omega0 + P.omega
+    times = np.array([3.0, 0.0, 7.5, 1.25, 3.0, 10.0])
+    order = np.argsort(times)
+    rates = rate_from_spectral_density(P, omega, times)
+    assert np.array_equal(rate_from_spectral_density(P, omega, times[order]), rates[order])
+    assert rates[1] == 0.0 and rates[0] == rates[4]
+    grid = rate_from_spectral_density(P, omega, times.reshape(2, 3))
+    assert np.array_equal(grid, rates.reshape(2, 3))
+    assert isinstance(rate_from_spectral_density(P, omega, 2.5), float)
+    assert rate_from_spectral_density(P, omega, 0.0) == 0.0
+
+
 def test_quadrature_rejects_negative_time():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="t must be non-negative"):
         rate_from_spectral_density(P, 0.0, -1.0)
+    with pytest.raises(ValueError, match="t must be non-negative"):
+        rate_from_spectral_density(P, 0.0, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan])], ids=["nan", "inf", "grid"])
+def test_quadrature_rejects_non_finite_time(bad):
+    # NaN once ran into the recursion-depth guard and inf into a math domain error
+    with pytest.raises(ValueError, match="t must be finite"):
+        rate_from_spectral_density(P, 0.0, bad)
+
+
+def test_quadrature_refuses_grids_beyond_the_sub_panel_cap():
+    with pytest.raises(ValueError, match="cap of 1000000"):
+        rate_from_spectral_density(P_STIFF, P_STIFF.omega0 + P_STIFF.omega, 1e6)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        rate_from_spectral_density(P, math.nan, 1.0)
