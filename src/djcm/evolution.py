@@ -21,9 +21,21 @@ reduction at time t is therefore
     outer(c_A(t), c_B(t)) @ K(r),   K(r) = r K1 + (1 - r) K0,
 
 with K1 and K0 fixed tables built once at import from the patterns,
-`initial_state(1)`/`initial_state(0)` and the reduction table.
-`pair_x_entries` evaluates that product; `propagate_pairs` stays as the
-independent 9x9 route that checks it.
+`initial_state(1)`/`initial_state(0)` and the reduction table. The
+build proves both tables exactly real, so they are stored as float64.
+
+`_kernel_chunks` is the one place that evaluates the product. For each
+chunk of times it forms the 57 coefficient products once, with time on
+the last axis, and applies each kernel it was given as one real matrix
+product over the float view of those products (real and imaginary parts
+interleaved along time), into buffers allocated once per call. On one
+BLAS thread, `evolve_concurrences` on fig2a (1501 samples) takes
+3.1-3.3 ms this way, against 4.0-4.6 ms for complex (T, 57) @ (57, 49)
+products over the same kernel. `pair_x_entries` is its one-chunk, one-purity
+case; the trajectory driver, the purity sweep of `djcm figure` (one
+kernel per purity on shared products) and the threshold scan (one
+[K1 | K0] kernel) call it directly. `propagate_pairs` stays as the
+independent 9x9 route that checks the product.
 """
 
 from __future__ import annotations
@@ -89,7 +101,9 @@ def _x_kernel() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     trace. Only the rows with a nonzero entry are kept, and only the
     columns of the X entries (8 per reduction, in `X_ENTRIES` order)
     plus the trace. Every other reduction entry must come out exactly
-    zero, which proves once that each reduction is X-shaped.
+    zero, which proves once that each reduction is X-shaped; every kept
+    entry must be exactly real, which lets the kernel run as real
+    matrix products. K1 and K0 are returned as float64 tables.
     """
     n = len(PATTERNS)
     r0 = np.stack([initial_state(1.0), initial_state(0.0)]).reshape(2, 1, 1, 9, 9)
@@ -101,6 +115,9 @@ def _x_kernel() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     if np.any(stray != 0.0):
         raise RuntimeError("a reduction of the pair state is not X-shaped; internal error")
     kernel = table[:, :, x_cols + [96]]
+    if np.any(kernel.imag != 0.0):
+        raise RuntimeError("the X-entry kernel is not real; internal error")
+    kernel = kernel.real
     pairs = np.flatnonzero(np.any(kernel != 0.0, axis=(0, 2)))
     return pairs // n, pairs % n, kernel[0, pairs], kernel[1, pairs]
 
@@ -108,15 +125,62 @@ def _x_kernel() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 _PAIR_A, _PAIR_B, _K1, _K0 = _x_kernel()
 
 
-def _pair_rows(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) -> np.ndarray:
-    """(T, 49): the kernel applied to the coefficient products, unchecked.
+def _purity_kernel(r: float) -> np.ndarray:
+    """K(r) = r K1 + (1 - r) K0: the (57, 49) kernel of initial_state(r)."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"purity r must lie in [0,1], got {r}")
+    return r * _K1 + (1.0 - r) * _K0
 
-    The first 48 columns are the X entries, 8 per reduction; the last is
-    the trace of the 9x9 pair state.
+
+def _kernel_chunks(p_a: JcmParams, p_b: JcmParams, times: np.ndarray, kernels, chunk_rows: int):
+    """Apply float (57, m) kernels to the coefficient products, chunk by chunk.
+
+    For each chunk of at most `chunk_rows` of the 1-d `times`, the 57
+    products c_A[k] c_B[l] are formed once, with time on the last axis.
+    Each kernel then meets them in one real matrix product over their
+    float view (real and imaginary parts interleaved along time), which
+    is the complex product because the kernels are real. Yields
+    (rows, images): `rows` the chunk's slice of `times`, `images` one
+    (m, len) complex array per kernel. The buffers behind the products
+    and the images are allocated once and overwritten by the next chunk.
     """
-    c_a = coefficients(p_a, times)
-    c_b = c_a if p_b == p_a else coefficients(p_b, times)
-    return (c_a[..., _PAIR_A] * c_b[..., _PAIR_B]) @ (r * _K1 + (1.0 - r) * _K0)
+    size = min(len(times), chunk_rows)
+    prods = np.empty(len(_PAIR_A) * size, dtype=complex)
+    tables = [np.ascontiguousarray(k.T) for k in kernels]
+    images = [np.empty(len(table) * size, dtype=complex) for table in tables]
+    for start in range(0, len(times), chunk_rows):
+        t = times[start:start + chunk_rows]
+        c_a = coefficients(p_a, t).T
+        c_b = c_a if p_b == p_a else coefficients(p_b, t).T
+        chunk = prods[: len(_PAIR_A) * len(t)].reshape(-1, len(t))
+        np.multiply(c_a[_PAIR_A], c_b[_PAIR_B], out=chunk)
+        out = []
+        for table, buf in zip(tables, images):
+            image = buf[: len(table) * len(t)].reshape(-1, len(t))
+            np.matmul(table, chunk.view(float), out=image.view(float))
+            out.append(image)
+        yield slice(start, start + len(t)), out
+
+
+def _checked_x_entries(image: np.ndarray) -> np.ndarray:
+    """(T, 6, 8) X entries of a (49, T) image of `_purity_kernel`, guarded.
+
+    Row 48 of the image is the trace of the 9x9 pair state. Trace and
+    Hermiticity drift are checked with the bounds of `propagate_pairs`.
+    """
+    drift = np.abs(image[-1] - 1.0).max(initial=0.0)
+    if not drift <= 1e-12:
+        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
+    x = image[:-1].reshape(6, 8, -1)
+    # np.max, unlike max(), carries a NaN through to the gate
+    defect = np.max([
+        np.abs(x[:, :4].imag).max(initial=0.0),
+        np.abs(x[:, 4] - x[:, 5].conj()).max(initial=0.0),
+        np.abs(x[:, 6] - x[:, 7].conj()).max(initial=0.0),
+    ])
+    if not defect <= 1e-10:
+        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
+    return x.transpose(2, 0, 1)
 
 
 def pair_x_entries(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) -> np.ndarray:
@@ -128,22 +192,13 @@ def pair_x_entries(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) 
     (checked once, when the kernel is built). Trace and Hermiticity
     drift are checked with the bounds of `propagate_pairs`.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"purity r must lie in [0,1], got {r}")
-    rows = _pair_rows(p_a, p_b, r, times)
-    drift = np.abs(rows[..., -1] - 1.0).max(initial=0.0)
-    if not drift <= 1e-12:
-        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
-    x = rows[..., :-1].reshape(rows.shape[:-1] + (6, 8))
-    # np.max, unlike max(), carries a NaN through to the gate
-    defect = np.max([
-        np.abs(x[..., :4].imag).max(initial=0.0),
-        np.abs(x[..., 4] - x[..., 5].conj()).max(initial=0.0),
-        np.abs(x[..., 6] - x[..., 7].conj()).max(initial=0.0),
-    ])
-    if not defect <= 1e-10:
-        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
-    return x
+    kernel = _purity_kernel(r)
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
+    chunk = next(_kernel_chunks(p_a, p_b, flat, [kernel], max(len(flat), 1)), None)
+    if chunk is None:  # no times
+        return np.empty(times.shape + (6, 8), dtype=complex)
+    return _checked_x_entries(chunk[1][0]).reshape(times.shape + (6, 8))
 
 
 def propagate_pair(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, t: float) -> np.ndarray:

@@ -12,17 +12,24 @@ Everything is deterministic; identical configs give byte-identical CSV.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .entanglement import concurrence, concurrence_x_entries
-from .evolution import min_eigenvalue, pair_x_entries, propagate_pairs
+from .entanglement import _x_branches, concurrence, concurrence_x_entries
+from .evolution import (
+    _checked_x_entries,
+    _kernel_chunks,
+    _purity_kernel,
+    min_eigenvalue,
+    pair_x_entries,
+    propagate_pairs,
+)
 from .integrate import integrate_pair, integrate_single, oracle_config, rate_from_spectral_density
 from .propagator import (
     JcmParams,
@@ -77,7 +84,7 @@ MAX_SAMPLES = 10**6
 
 # Time samples propagated, reduced and measured together. Large enough
 # that numpy, not the interpreter, does the work; small enough that the
-# (CHUNK_ROWS, 57) coefficient products, the (CHUNK_ROWS, 9, 9) stacks of
+# (57, CHUNK_ROWS) coefficient products, the (CHUNK_ROWS, 9, 9) stacks of
 # the checking route and their temporaries stay well under a megabyte,
 # whatever the grid size.
 CHUNK_ROWS = 256
@@ -157,19 +164,27 @@ def _chunks(n: int):
     return (slice(i, min(i + CHUNK_ROWS, n)) for i in range(0, n, CHUNK_ROWS))
 
 
-def evolve_concurrences(cfg: ScenarioConfig) -> np.ndarray:
+def evolve_concurrences(cfg: ScenarioConfig, purities: Sequence[float] | None = None) -> np.ndarray:
     """Analytical trajectory of all requested pair concurrences.
 
     Returns a (samples, 1 + len(cfg.targets)) table: column 0 is the time
     grid, the others the concurrences in `cfg.targets` order.
+
+    With a sequence of `purities` (each in [0, 1]; cfg.purity is then
+    unused), returns one such table per purity, stacked as
+    (len(purities), samples, 1 + len(cfg.targets)). The purities share
+    each chunk's coefficient products, and each table is bit for bit the
+    one its own config gives.
     """
+    kernels = [_purity_kernel(r) for r in ((cfg.purity,) if purities is None else purities)]
     blocks = [target.block for target in cfg.targets]
-    table = np.empty((cfg.samples, 1 + len(blocks)))
-    table[:, 0] = time_grid(cfg)
-    for rows in _chunks(cfg.samples):
-        x = pair_x_entries(cfg.params_a, cfg.params_b, cfg.purity, table[rows, 0])
-        table[rows, 1:] = concurrence_x_entries(x[:, blocks])
-    return table
+    grid = time_grid(cfg)
+    tables = np.empty((len(kernels), cfg.samples, 1 + len(blocks)))
+    tables[:, :, 0] = grid
+    for rows, images in _kernel_chunks(cfg.params_a, cfg.params_b, grid, kernels, CHUNK_ROWS):
+        for table, image in zip(tables, images):
+            table[rows, 1:] = concurrence_x_entries(_checked_x_entries(image)[:, blocks])
+    return tables[0] if purities is None else tables
 
 
 def write_csv(
@@ -353,13 +368,112 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     return report
 
 
-def _purity_grid(dr: float):
-    """r = 0, dr, 2*dr, ... while below 1, then r = 1, generated one at a time."""
-    k = 0
-    while k * dr < 1.0:
-        yield k * dr
-        k += 1
-    yield 1.0
+def _purity_steps(dr: float) -> int:
+    """n such that the purity grid is r_k = k*dr for k < n (all below 1), then r_n = 1."""
+    n = math.ceil(1.0 / dr)
+    while n > 0 and (n - 1) * dr >= 1.0:
+        n -= 1
+    while n * dr < 1.0:
+        n += 1
+    return n
+
+
+def _purity(k: int, dr: float, n: int) -> float:
+    """Value k of the purity grid with `_purity_steps(dr)` = n."""
+    return k * dr if k < n else 1.0
+
+
+# How far below eps/2 the Yu-Eberly margin of a purity must sit for the
+# threshold scan to skip it. Rounding moves a margin computed from X entries
+# of size at most 1 by a few 1e-16.
+_SKIP_MARGIN = 1e-12
+
+# (coherence, population, population) of the two Yu-Eberly branches, as
+# indices into `X_ENTRIES`: |rho_23| against rho_11 rho_44, |rho_14| against
+# rho_22 rho_33.
+_BRANCHES = ((4, 0, 3), (6, 1, 2))
+
+
+def _onset_bound(a: np.ndarray, b: np.ndarray, e: float) -> float:
+    """Lowest point of a purity range where some time of a chunk may have a branch margin above e.
+
+    `b` and `a` are the chunk's (T, 8) X entries at the two ends of the
+    range, with non-negative populations, and u in [0, 1] runs from `b`
+    to `a`. Along u, x_c = x0 + u dx and the populations p = p0 + u dp,
+    q = q0 + u dq are affine, so s = sqrt(p q) is concave and lies above
+    its chord s0 + u (s1 - s0). A margin |x_c| - s above e therefore
+    needs |x_c|^2 > e^2 + 2 e (s0 + u (s1 - s0)) + p q: one quadratic
+    A u^2 + B u + C > 0 per time and branch. The result is the smallest
+    u in [0, 1] where any of them is positive, inf if none is; rounding
+    can move it, which `_scan_start` allows for.
+    """
+    onset = math.inf
+    for c, i, j in _BRANCHES:
+        x0, dx = b[:, c], a[:, c] - b[:, c]
+        p0, q0 = b[:, i].real, b[:, j].real
+        dp, dq = a[:, i].real - p0, a[:, j].real - q0
+        s0 = np.sqrt(p0 * q0)
+        s1 = np.sqrt(a[:, i].real * a[:, j].real)
+        qa = dx.real**2 + dx.imag**2 - dp * dq
+        qb = 2.0 * (x0.conj() * dx).real - (p0 * dq + q0 * dp) - 2.0 * e * (s1 - s0)
+        qc = x0.real**2 + x0.imag**2 - p0 * q0 - e * e - 2.0 * e * s0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+            # the root where q turns positive, in the form free of cancellation
+            root = np.where(qb >= 0.0, 2.0 * qc / (-qb - sq), (-qb + sq) / (2.0 * qa))
+        # a NaN (no real root) or a negative root: q stays negative on [0, 1]
+        root = np.where(qc > 0.0, 0.0, np.where(root >= 0.0, root, math.inf))
+        onset = min(onset, root.min(initial=math.inf))
+    return onset
+
+
+def _skippable(a: np.ndarray, b: np.ndarray, e: float, r: float) -> bool:
+    """Whether no purity in [0, r] can give a chunk's branch margin above e.
+
+    With non-negative populations at r = 0 and 1, each branch margin
+    |x_c| - sqrt(p q) is convex in the purity (a norm of an affine map
+    minus a geometric mean of affine maps), and so is the larger of the
+    two. If it sits _SKIP_MARGIN below e at both ends it stays there in
+    between, with room for the rounding of any grid purity's entries. A
+    branch whose coherence is exactly 0 at both ends is 0 at every
+    purity, in floating point too, so its margin is never positive and
+    it is left out. The lowest eigenvalue is concave in the purity, so the
+    eigenvalue guard at the two ends covers the purities in between.
+    """
+    margins = _x_branches(np.concatenate([b, r * a + (1.0 - r) * b]))
+    for margin, (c, _, _) in zip(margins, _BRANCHES):
+        dead = np.tile((a[:, c] == 0.0) & (b[:, c] == 0.0), 2)
+        if not np.all((margin <= e - _SKIP_MARGIN) | dead):
+            return False
+    return True
+
+
+def _scan_start(a: np.ndarray, b: np.ndarray, eps: float, dr: float, n: int, stop: int) -> int:
+    """Grid index from which one chunk's threshold scan must run, in [0, stop].
+
+    `_onset_bound` is applied again from the bound it returns, where the
+    chord of sqrt(p q) is tighter, until the bound moves by less than dr
+    or passes the purities still worth scanning. Each pass moves it by at
+    least dr, so there are at most 1/dr passes, and in practice a few.
+    The scan starts one grid step below the bound, after `_skippable`
+    proves every purity before that step below eps. It falls back to 0
+    when that proof fails, and when a population at r = 0 or 1 is
+    negative (inside the -1e-8 eigenvalue band): clipping voids the bound.
+    """
+    if stop == 0 or min(a[:, :4].real.min(), b[:, :4].real.min()) < 0.0:
+        return 0
+    e = 0.5 * eps
+    last = _purity(stop - 1, dr, n)  # highest purity left to scan
+    onset = 0.0
+    while onset < last:
+        step = _onset_bound(a, onset * a + (1.0 - onset) * b, e) * (1.0 - onset)
+        onset += step
+        if not step >= dr:
+            break
+    start = max(0, min(n + 1 if onset > 1.0 else math.ceil(onset / dr), stop) - 1)
+    if start == 0:
+        return 0
+    return start if _skippable(a, b, e, _purity(start - 1, dr, n)) else 0
 
 
 def transient_entanglement_threshold(
@@ -370,16 +484,23 @@ def transient_entanglement_threshold(
 ) -> float | None:
     """Smallest purity (on a dr grid) whose trajectory ever entangles `target`.
 
-    Scans r = 0, dr, 2*dr, ... while below 1, then r = 1, and returns the
-    first value for which the concurrence exceeds eps anywhere on the
+    The grid is r = 0, dr, 2*dr, ... while below 1, then r = 1. Returns
+    the first value for which the concurrence exceeds eps anywhere on the
     time grid; None if even r=1 never entangles the pair. This is the
     transient counterpart of the quasi-steady threshold constant. dr
-    must lie in [1e-6, 1], so the grid holds at most about 10**6 purities.
+    must lie in [1e-6, 1] and eps must be finite and non-negative;
+    anything else raises ValueError.
 
     The initial state is affine in r, and so are propagation and
     reduction: the `target` X entries at purity r are r*A + (1-r)*B, with
-    A and B those of the r=1 and r=0 trajectories, each evaluated once
-    per chunk of the grid.
+    A and B those of r=1 and r=0, both taken from one pass of each chunk's
+    coefficient products through [K1 | K0]. Per chunk, one quadratic per
+    time and Yu-Eberly branch bounds the onset from below
+    (`_onset_bound`), and the eps test runs upwards from one grid step
+    below that bound, after `_skippable` proves the purities before it
+    unentangled. A chunk whose bound cannot be proven scans from r = 0.
+    The result always equals that of the plain scan from r = 0 in every
+    chunk; for eps >= 0 its cost no longer grows as 1/dr.
     """
     if not 0.0 < dr <= 1.0:
         raise ValueError(f"dr must lie in (0, 1], got {dr}")
@@ -388,14 +509,16 @@ def transient_entanglement_threshold(
             f"dr must be at least {1.0 / _MAX_PURITIES:g}, which caps the purity grid "
             f"at {_MAX_PURITIES} steps; got {dr}"
         )
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and non-negative, got {eps}")
+    n = _purity_steps(dr)
     grid = time_grid(cfg)
-    first = found = None  # grid index and value of the smallest entangling purity so far
-    for rows in _chunks(len(grid)):
-        a, b = (
-            pair_x_entries(cfg.params_a, cfg.params_b, r, grid[rows])[:, target.block]
-            for r in (1.0, 0.0)
-        )
-        for k, r in enumerate(itertools.islice(_purity_grid(dr), first)):
+    kernel = np.hstack([_purity_kernel(1.0), _purity_kernel(0.0)])
+    first, found = n + 1, None  # grid index and value of the smallest entangling purity so far
+    for _, (image,) in _kernel_chunks(cfg.params_a, cfg.params_b, grid, [kernel], CHUNK_ROWS):
+        a, b = (_checked_x_entries(half)[:, target.block] for half in np.split(image, 2))
+        for k in range(_scan_start(a, b, eps, dr, n, first), first):
+            r = _purity(k, dr, n)
             if (concurrence_x_entries(r * a + (1.0 - r) * b) > eps).any():
                 first, found = k, r
                 break

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from djcm import evolution
 from djcm.evolution import min_eigenvalue, propagate_pair, propagate_pairs
 from djcm.propagator import JcmParams, propagate_single
 from djcm.states import initial_state
@@ -172,3 +173,19 @@ def test_min_eigenvalue():
     assert min_eigenvalue(m) == pytest.approx(0.0, abs=1e-15)
     m[8, 8] = -1e-3
     assert min_eigenvalue(m) == pytest.approx(-1e-3)
+
+
+def test_x_kernel_tables_are_real():
+    # the kernel runs as real matrix products over the float view of the
+    # complex coefficient products, so its stored tables must be float64
+    assert evolution._K1.dtype == np.float64
+    assert evolution._K0.dtype == np.float64
+    assert evolution._K1.shape == evolution._K0.shape == (len(evolution._PAIR_A), 49)
+
+
+def test_x_kernel_refuses_an_imaginary_entry(monkeypatch):
+    # a reduction table with a phase keeps every reduction X-shaped but
+    # makes the kernel complex, which the import-time proof must reject
+    monkeypatch.setattr(evolution, "_REDUCTION", evolution._REDUCTION * 1j)
+    with pytest.raises(RuntimeError, match="not real; internal error"):
+        evolution._x_kernel()

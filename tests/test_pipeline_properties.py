@@ -55,8 +55,9 @@ def test_kernel_x_entries_match_the_reduced_9x9_stack(p_a, p_b, r, times):
     blocks = reduce_stack(states)
     assert np.abs(pair_x_entries(p_a, p_b, r, times) - blocks[..., _X_ROWS, _X_COLS]).max() <= 1e-12
     assert np.abs(blocks[..., ~_X]).max() <= 1e-12
-    trace = evolution._pair_rows(p_a, p_b, r, times)[..., -1]
-    assert np.abs(trace - np.trace(states, axis1=1, axis2=2)).max() <= 1e-12
+    kernel = evolution._purity_kernel(r)
+    [(_, (image,))] = evolution._kernel_chunks(p_a, p_b, times, [kernel], len(times))
+    assert np.abs(image[-1] - np.trace(states, axis1=1, axis2=2)).max() <= 1e-12
 
 
 @_SETTINGS

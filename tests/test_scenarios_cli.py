@@ -7,6 +7,7 @@ codes and parsing everything printed.
 """
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -17,12 +18,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import djcm
 from djcm import integrate, scenarios
 from djcm.cli import main
-from djcm.entanglement import STEADY_PURITY_THRESHOLD, concurrence, concurrence_x_state
-from djcm.evolution import propagate_pair, propagate_pairs
+from djcm.entanglement import (
+    STEADY_PURITY_THRESHOLD,
+    concurrence,
+    concurrence_x_entries,
+    concurrence_x_state,
+)
+from djcm.evolution import pair_x_entries, propagate_pair, propagate_pairs
 from djcm.propagator import JcmParams, integrated_rate_minus, integrated_rate_plus
 from djcm.scenarios import (
     CHUNK_ROWS,
@@ -333,7 +340,8 @@ def test_transient_threshold_fig4_scan():
 def test_transient_threshold_purity_grids_keep_their_values():
     for dr in (0.01, 0.1, 0.25, 0.4):
         listed = [k * dr for k in range(math.ceil(1.0 / dr) + 1) if k * dr < 1.0] + [1.0]
-        assert list(scenarios._purity_grid(dr)) == listed
+        n = scenarios._purity_steps(dr)
+        assert [scenarios._purity(k, dr, n) for k in range(n + 1)] == listed
 
 
 def test_transient_threshold_refuses_grids_beyond_a_million_purities():
@@ -358,6 +366,107 @@ def test_transient_threshold_none_when_uncoupled():
     cfg = ScenarioConfig(params_a=p0, params_b=p0, purity=1.0, t_max=2.0, samples=9)
     found = transient_entanglement_threshold(cfg, target=ReductionTarget.AB, dr=0.25)
     assert found is None
+
+
+def _reference_threshold(cfg, target, dr, eps):
+    """The plain scan: every grid purity from r = 0 up, over the whole time grid."""
+    grid = time_grid(cfg)
+    a, b = (pair_x_entries(cfg.params_a, cfg.params_b, r, grid)[:, target.block] for r in (1.0, 0.0))
+    k = 0
+    while True:
+        r = min(k * dr, 1.0)
+        if (concurrence_x_entries(r * a + (1.0 - r) * b) > eps).any():
+            return r
+        if r == 1.0:
+            return None
+        k += 1
+
+
+_SCAN_PARAMS = st.builds(
+    JcmParams,
+    omega0=st.just(0.0),
+    omega=st.floats(0.0, 50.0),
+    gamma0=st.just(1.0),
+    lam=st.floats(0.05, 10.0),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    p_a=_SCAN_PARAMS,
+    p_b=_SCAN_PARAMS,
+    same=st.booleans(),
+    t_max=st.floats(0.5, 30.0),
+    samples=st.sampled_from([2, 17, 120, 300]),
+    target=st.sampled_from([ReductionTarget.AB, ReductionTarget.ab, ReductionTarget.Aa, ReductionTarget.Ab]),
+    dr=st.sampled_from([0.25, 0.1, 0.01, 0.003]),
+    eps=st.sampled_from([1e-8, 0.1]),
+)
+def test_transient_threshold_equals_the_plain_scan(p_a, p_b, same, t_max, samples, target, dr, eps):
+    cfg = ScenarioConfig(
+        params_a=p_a, params_b=p_a if same else p_b, purity=1.0, t_max=t_max, samples=samples
+    )
+    expected = _reference_threshold(cfg, target, dr, eps)
+    assert transient_entanglement_threshold(cfg, target, dr=dr, eps=eps) == expected
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig2a", "fig5"])
+def test_transient_threshold_on_a_fine_grid_matches_the_plain_scan(name):
+    # dr = 1e-4 puts the answer within 1e-4 of the exact onset purity
+    cfg = dataclasses.replace(preset_config(name), samples=301)
+    found = transient_entanglement_threshold(cfg, dr=1e-4)
+    assert found == _reference_threshold(cfg, ReductionTarget.AB, 1e-4, 1e-8)
+    assert 0.3 < found < 0.6
+
+
+def test_transient_threshold_work_does_not_grow_as_dr_shrinks(monkeypatch):
+    calls = []
+    measure = scenarios.concurrence_x_entries
+    monkeypatch.setattr(scenarios, "concurrence_x_entries", lambda x: calls.append(1) or measure(x))
+    cfg = dataclasses.replace(preset_config("fig4"), samples=301)  # two chunks
+    counts = []
+    for dr in (1e-2, 1e-3, 1e-4):
+        calls.clear()
+        transient_entanglement_threshold(cfg, dr=dr)
+        counts.append(len(calls))
+    assert counts[0] <= 4  # at most two scan steps per chunk
+    assert counts[2] <= counts[1] <= counts[0]
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_transient_threshold_refuses_a_bad_eps(eps):
+    # the onset bound holds for eps >= 0 only; a NaN or infinite eps would
+    # read as "no purity entangles", a negative one as "r = 0 does"
+    with pytest.raises(ValueError, match="eps must be finite and non-negative"):
+        transient_entanglement_threshold(_small_cfg(samples=11), eps=eps)
+
+
+def test_transient_threshold_fallback_scan_gives_the_same_answer(monkeypatch):
+    cfg = dataclasses.replace(preset_config("fig4"), samples=301)
+    assert transient_entanglement_threshold(cfg, dr=0.001) == 0.37
+    monkeypatch.setattr(scenarios, "_skippable", lambda *args: False)
+    assert transient_entanglement_threshold(cfg, dr=0.001) == 0.37
+
+
+def test_transient_threshold_scans_from_zero_when_a_population_is_clipped():
+    grid = time_grid(_small_cfg(samples=11))
+    a, b = (pair_x_entries(P, P, r, grid)[:, ReductionTarget.AB.block] for r in (1.0, 0.0))
+    n = scenarios._purity_steps(0.01)
+    assert scenarios._scan_start(a, b, 1e-8, 0.01, n, n + 1) > 0
+    # inside the eigenvalue band, so concurrence clips it to 0; at t = 0
+    # both coherences are exactly 0, so only the population check sees it
+    assert not a[0, 4:].any() and not b[0, 4:].any()
+    b = b.copy()
+    b[0, 0] = -1e-12
+    assert scenarios._scan_start(a, b, 1e-8, 0.01, n, n + 1) == 0
+
+
+def test_transient_threshold_proof_rejects_a_bound_that_is_too_high(monkeypatch):
+    # the scan may skip purities only where the convexity proof holds, so
+    # a wrong onset bound costs time, never the answer
+    cfg = dataclasses.replace(preset_config("fig4"), samples=301)
+    monkeypatch.setattr(scenarios, "_onset_bound", lambda a, b, e: 0.9)
+    assert transient_entanglement_threshold(cfg, dr=0.001) == 0.37
 
 
 # --------------------------------------------------------------------- CLI
@@ -608,6 +717,23 @@ def test_cli_figure(tmp_path, capsys):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1502
+
+
+def test_cli_figure_sweep_equals_separate_runs(tmp_path, capsys):
+    # the sweep shares one coefficient pass per chunk across its purities;
+    # each file must still be byte-equal to its own config's run
+    assert main(["figure", "fig4", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for r in SWEEP_PURITIES:
+        cfg = preset_config("fig4", purity=r)
+        fh = io.StringIO(newline="\n")
+        write_csv(evolve_concurrences(cfg), fh, cfg.targets)
+        assert (tmp_path / f"fig4_r{r:g}.csv").read_bytes() == fh.getvalue().encode("utf-8")
+
+
+def test_evolve_purities_reject_values_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="purity"):
+        evolve_concurrences(_small_cfg(samples=5), purities=[0.5, 1.5])
 
 
 def test_cli_figure_rejects_unknown_name():
