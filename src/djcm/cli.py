@@ -120,18 +120,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_figure(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = preset_config(args.name)
     if args.name in SWEEP_PRESETS:
-        filenames = [f"{args.name}_r{r:g}.csv" for r in SWEEP_PURITIES]
-        tables = evolve_concurrences(cfg, purities=SWEEP_PURITIES)
+        jobs = [(f"{args.name}_r{r:g}.csv", preset_config(args.name, purity=r)) for r in SWEEP_PURITIES]
     else:
-        filenames = [f"{args.name}.csv"]
-        tables = [evolve_concurrences(cfg)]
+        jobs = [(f"{args.name}.csv", preset_config(args.name))]
     written = []
-    for filename, table in zip(filenames, tables):
+    for filename, cfg in jobs:
         path = outdir / filename
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write_csv(table, fh, cfg.targets)
+            write_csv(evolve_concurrences(cfg), fh, cfg.targets)
         written.append(str(path))
         print(path)
     if args.gnuplot_snippet:

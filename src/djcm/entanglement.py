@@ -139,17 +139,6 @@ def concurrence_x_entries(x: np.ndarray) -> np.ndarray:
     Hermitian. Raises ValueError when a state has an eigenvalue below
     -1e-8.
     """
-    best = np.maximum(*_x_branches(x))
-    return np.where(best > 0.0, 2.0 * best, 0.0)
-
-
-def _x_branches(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|rho_23| - sqrt(rho_11 rho_44) and |rho_14| - sqrt(rho_22 rho_33) of X states.
-
-    The concurrence is twice the positive part of the larger one. Takes
-    the X entries as `concurrence_x_entries` does, with the same
-    eigenvalue guard; populations inside its -1e-8 band are clipped to 0.
-    """
     d = x[..., :4].real
     inner_c, outer_c = np.abs(x[..., 4]), np.abs(x[..., 6])
     # the two 2x2 blocks {|10>,|01>} and {|11>,|00>} carry the spectrum
@@ -160,7 +149,11 @@ def _x_branches(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not low.min() >= -1e-8:
         raise ValueError(f"state has eigenvalue {low.min():.3e}, not a density matrix")
     d = np.clip(d, 0.0, None)
-    return inner_c - np.sqrt(d[..., 0] * d[..., 3]), outer_c - np.sqrt(d[..., 1] * d[..., 2])
+    best = np.maximum(
+        inner_c - np.sqrt(d[..., 0] * d[..., 3]),
+        outer_c - np.sqrt(d[..., 1] * d[..., 2]),
+    )
+    return np.where(best > 0.0, 2.0 * best, 0.0)
 
 
 def steady_pair_nonlocal(r: float) -> np.ndarray:

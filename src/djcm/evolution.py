@@ -24,18 +24,18 @@ with K1 and K0 fixed tables built once at import from the patterns,
 `initial_state(1)`/`initial_state(0)` and the reduction table. The
 build proves both tables exactly real, so they are stored as float64.
 
-`_kernel_chunks` is the one place that evaluates the product. For each
+`x_entry_chunks` is the one place that evaluates the product. For each
 chunk of times it forms the 57 coefficient products once, with time on
-the last axis, and applies each kernel it was given as one real matrix
-product over the float view of those products (real and imaginary parts
-interleaved along time), into buffers allocated once per call. On one
-BLAS thread, `evolve_concurrences` on fig2a (1501 samples) takes
-3.1-3.3 ms this way, against 4.0-4.6 ms for complex (T, 57) @ (57, 49)
-products over the same kernel. `pair_x_entries` is its one-chunk, one-purity
-case; the trajectory driver, the purity sweep of `djcm figure` (one
-kernel per purity on shared products) and the threshold scan (one
-[K1 | K0] kernel) call it directly. `propagate_pairs` stays as the
-independent 9x9 route that checks the product.
+the last axis, and applies the kernel of each purity it was given as one
+real matrix product over the float view of those products (real and
+imaginary parts interleaved along time), into buffers allocated once per
+call. It yields the X entries of each purity after the trace and
+Hermiticity checks. On one BLAS thread, `evolve_concurrences` on fig2a
+(1501 samples) takes 3.1-3.3 ms this way, against 4.0-4.6 ms for complex
+(T, 57) @ (57, 49) products over the same kernel. `pair_x_entries` is
+its one-chunk, one-purity case; the trajectory driver (one purity) and
+the threshold scan (r = 1 and r = 0) iterate it. `propagate_pairs` stays
+as the independent 9x9 route that checks the product.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .states import _REDUCTION, initial_state
 
 __all__ = [
     "pair_x_entries",
+    "x_entry_chunks",
     "propagate_pair",
     "propagate_pairs",
     "min_eigenvalue",
@@ -183,6 +184,23 @@ def _checked_x_entries(image: np.ndarray) -> np.ndarray:
     return x.transpose(2, 0, 1)
 
 
+def x_entry_chunks(p_a: JcmParams, p_b: JcmParams, purities, times: np.ndarray, chunk_rows: int):
+    """X entries of the six reductions at each purity, chunk by chunk of `times`.
+
+    The pair starts in `initial_state(r)` for each r of `purities`, all
+    in [0, 1]. For each chunk of at most `chunk_rows` of the 1-d `times`,
+    yields (rows, entries): `rows` the chunk's slice of `times`,
+    `entries` one (len, 6, 8) complex array per purity, laid out as
+    `pair_x_entries` returns them. The purities share the chunk's
+    coefficient products. Trace and Hermiticity drift are checked with
+    the bounds of `propagate_pairs`. The arrays are views of buffers that
+    the next chunk overwrites.
+    """
+    kernels = [_purity_kernel(r) for r in purities]
+    for rows, images in _kernel_chunks(p_a, p_b, times, kernels, chunk_rows):
+        yield rows, [_checked_x_entries(image) for image in images]
+
+
 def pair_x_entries(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) -> np.ndarray:
     """X entries of the six reductions of the pair state at each of T times.
 
@@ -192,13 +210,13 @@ def pair_x_entries(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) 
     (checked once, when the kernel is built). Trace and Hermiticity
     drift are checked with the bounds of `propagate_pairs`.
     """
-    kernel = _purity_kernel(r)
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    chunk = next(_kernel_chunks(p_a, p_b, flat, [kernel], max(len(flat), 1)), None)
+    chunks = x_entry_chunks(p_a, p_b, [r], flat, max(len(flat), 1))
+    chunk = next(chunks, None)
     if chunk is None:  # no times
         return np.empty(times.shape + (6, 8), dtype=complex)
-    return _checked_x_entries(chunk[1][0]).reshape(times.shape + (6, 8))
+    return chunk[1][0].reshape(times.shape + (6, 8))
 
 
 def propagate_pair(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, t: float) -> np.ndarray:

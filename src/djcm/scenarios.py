@@ -15,21 +15,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .entanglement import _x_branches, concurrence, concurrence_x_entries
-from .evolution import (
-    _checked_x_entries,
-    _kernel_chunks,
-    _purity_kernel,
-    min_eigenvalue,
-    pair_x_entries,
-    propagate_pairs,
-)
+from .entanglement import concurrence, concurrence_x_entries
+from .evolution import min_eigenvalue, pair_x_entries, propagate_pairs, x_entry_chunks
 from .integrate import integrate_pair, integrate_single, oracle_config, rate_from_spectral_density
 from .propagator import (
     JcmParams,
@@ -164,27 +156,20 @@ def _chunks(n: int):
     return (slice(i, min(i + CHUNK_ROWS, n)) for i in range(0, n, CHUNK_ROWS))
 
 
-def evolve_concurrences(cfg: ScenarioConfig, purities: Sequence[float] | None = None) -> np.ndarray:
+def evolve_concurrences(cfg: ScenarioConfig) -> np.ndarray:
     """Analytical trajectory of all requested pair concurrences.
 
     Returns a (samples, 1 + len(cfg.targets)) table: column 0 is the time
     grid, the others the concurrences in `cfg.targets` order.
-
-    With a sequence of `purities` (each in [0, 1]; cfg.purity is then
-    unused), returns one such table per purity, stacked as
-    (len(purities), samples, 1 + len(cfg.targets)). The purities share
-    each chunk's coefficient products, and each table is bit for bit the
-    one its own config gives.
     """
-    kernels = [_purity_kernel(r) for r in ((cfg.purity,) if purities is None else purities)]
     blocks = [target.block for target in cfg.targets]
     grid = time_grid(cfg)
-    tables = np.empty((len(kernels), cfg.samples, 1 + len(blocks)))
-    tables[:, :, 0] = grid
-    for rows, images in _kernel_chunks(cfg.params_a, cfg.params_b, grid, kernels, CHUNK_ROWS):
-        for table, image in zip(tables, images):
-            table[rows, 1:] = concurrence_x_entries(_checked_x_entries(image)[:, blocks])
-    return tables[0] if purities is None else tables
+    table = np.empty((cfg.samples, 1 + len(blocks)))
+    table[:, 0] = grid
+    chunks = x_entry_chunks(cfg.params_a, cfg.params_b, [cfg.purity], grid, CHUNK_ROWS)
+    for rows, (x,) in chunks:
+        table[rows, 1:] = concurrence_x_entries(x[:, blocks])
+    return table
 
 
 def write_csv(
@@ -383,97 +368,56 @@ def _purity(k: int, dr: float, n: int) -> float:
     return k * dr if k < n else 1.0
 
 
-# How far below eps/2 the Yu-Eberly margin of a purity must sit for the
-# threshold scan to skip it. Rounding moves a margin computed from X entries
-# of size at most 1 by a few 1e-16.
+# How far below eps the concurrence of a purity must sit for the threshold
+# scan to skip it. Rounding moves a concurrence computed from X entries of
+# size at most 1 by a few 1e-16.
 _SKIP_MARGIN = 1e-12
 
-# (coherence, population, population) of the two Yu-Eberly branches, as
-# indices into `X_ENTRIES`: |rho_23| against rho_11 rho_44, |rho_14| against
-# rho_22 rho_33.
-_BRANCHES = ((4, 0, 3), (6, 1, 2))
 
+def _proven_below(x: np.ndarray, bar: float) -> bool:
+    """Whether no concurrence of the X entries `x` exceeds bar.
 
-def _onset_bound(a: np.ndarray, b: np.ndarray, e: float) -> float:
-    """Lowest point of a purity range where some time of a chunk may have a branch margin above e.
-
-    `b` and `a` are the chunk's (T, 8) X entries at the two ends of the
-    range, with non-negative populations, and u in [0, 1] runs from `b`
-    to `a`. Along u, x_c = x0 + u dx and the populations p = p0 + u dp,
-    q = q0 + u dq are affine, so s = sqrt(p q) is concave and lies above
-    its chord s0 + u (s1 - s0). A margin |x_c| - s above e therefore
-    needs |x_c|^2 > e^2 + 2 e (s0 + u (s1 - s0)) + p q: one quadratic
-    A u^2 + B u + C > 0 per time and branch. The result is the smallest
-    u in [0, 1] where any of them is positive, inf if none is; rounding
-    can move it, which `_scan_start` allows for.
+    False, not a ValueError, for a state below the eigenvalue guard of
+    `concurrence_x_entries`: the threshold scan then tries that purity
+    itself, and raises only if the plain scan would have.
     """
-    onset = math.inf
-    for c, i, j in _BRANCHES:
-        x0, dx = b[:, c], a[:, c] - b[:, c]
-        p0, q0 = b[:, i].real, b[:, j].real
-        dp, dq = a[:, i].real - p0, a[:, j].real - q0
-        s0 = np.sqrt(p0 * q0)
-        s1 = np.sqrt(a[:, i].real * a[:, j].real)
-        qa = dx.real**2 + dx.imag**2 - dp * dq
-        qb = 2.0 * (x0.conj() * dx).real - (p0 * dq + q0 * dp) - 2.0 * e * (s1 - s0)
-        qc = x0.real**2 + x0.imag**2 - p0 * q0 - e * e - 2.0 * e * s0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt(qb * qb - 4.0 * qa * qc)
-            # the root where q turns positive, in the form free of cancellation
-            root = np.where(qb >= 0.0, 2.0 * qc / (-qb - sq), (-qb + sq) / (2.0 * qa))
-        # a NaN (no real root) or a negative root: q stays negative on [0, 1]
-        root = np.where(qc > 0.0, 0.0, np.where(root >= 0.0, root, math.inf))
-        onset = min(onset, root.min(initial=math.inf))
-    return onset
-
-
-def _skippable(a: np.ndarray, b: np.ndarray, e: float, r: float) -> bool:
-    """Whether no purity in [0, r] can give a chunk's branch margin above e.
-
-    With non-negative populations at r = 0 and 1, each branch margin
-    |x_c| - sqrt(p q) is convex in the purity (a norm of an affine map
-    minus a geometric mean of affine maps), and so is the larger of the
-    two. If it sits _SKIP_MARGIN below e at both ends it stays there in
-    between, with room for the rounding of any grid purity's entries. A
-    branch whose coherence is exactly 0 at both ends is 0 at every
-    purity, in floating point too, so its margin is never positive and
-    it is left out. The lowest eigenvalue is concave in the purity, so the
-    eigenvalue guard at the two ends covers the purities in between.
-    """
-    margins = _x_branches(np.concatenate([b, r * a + (1.0 - r) * b]))
-    for margin, (c, _, _) in zip(margins, _BRANCHES):
-        dead = np.tile((a[:, c] == 0.0) & (b[:, c] == 0.0), 2)
-        if not np.all((margin <= e - _SKIP_MARGIN) | dead):
-            return False
-    return True
+    try:
+        return bool(concurrence_x_entries(x).max() <= bar)
+    except ValueError:
+        return False
 
 
 def _scan_start(a: np.ndarray, b: np.ndarray, eps: float, dr: float, n: int, stop: int) -> int:
     """Grid index from which one chunk's threshold scan must run, in [0, stop].
 
-    `_onset_bound` is applied again from the bound it returns, where the
-    chord of sqrt(p q) is tighter, until the bound moves by less than dr
-    or passes the purities still worth scanning. Each pass moves it by at
-    least dr, so there are at most 1/dr passes, and in practice a few.
-    The scan starts one grid step below the bound, after `_skippable`
-    proves every purity before that step below eps. It falls back to 0
-    when that proof fails, and when a population at r = 0 or 1 is
-    negative (inside the -1e-8 eigenvalue band): clipping voids the bound.
+    `a` and `b` are the chunk's (T, 8) target X entries at r = 1 and
+    r = 0. With non-negative populations at both ends, every Yu-Eberly
+    margin |x_c| - sqrt(d_i d_j) is convex in r (a modulus of an affine
+    map minus a geometric mean of affine maps), and so is the chunk's
+    largest concurrence C(r); the lowest eigenvalue is concave in r. If
+    C sits _SKIP_MARGIN below eps at r = 0 and at a grid purity r_k, it
+    stays below eps at every purity in between, with room for the
+    rounding of each one's entries, and so does the eigenvalue guard:
+    the scan may skip k and everything below it. A bisection over k in
+    [0, stop) finds the first index that this proof does not cover, with
+    about log2(stop) concurrence batches. The start is 0 when r = 0 fails
+    the proof, and when a population at r = 0 or 1 is negative (inside
+    the -1e-8 eigenvalue band): clipping it to 0 voids the convexity.
     """
     if stop == 0 or min(a[:, :4].real.min(), b[:, :4].real.min()) < 0.0:
         return 0
-    e = 0.5 * eps
-    last = _purity(stop - 1, dr, n)  # highest purity left to scan
-    onset = 0.0
-    while onset < last:
-        step = _onset_bound(a, onset * a + (1.0 - onset) * b, e) * (1.0 - onset)
-        onset += step
-        if not step >= dr:
-            break
-    start = max(0, min(n + 1 if onset > 1.0 else math.ceil(onset / dr), stop) - 1)
-    if start == 0:
+    bar = eps - _SKIP_MARGIN
+    if not _proven_below(b, bar):
         return 0
-    return start if _skippable(a, b, e, _purity(start - 1, dr, n)) else 0
+    lo, hi = 0, stop  # every index below lo is proven unentangled
+    while lo < hi:
+        mid = (lo + hi) // 2
+        r = _purity(mid, dr, n)
+        if _proven_below(r * a + (1.0 - r) * b, bar):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def transient_entanglement_threshold(
@@ -493,14 +437,15 @@ def transient_entanglement_threshold(
 
     The initial state is affine in r, and so are propagation and
     reduction: the `target` X entries at purity r are r*A + (1-r)*B, with
-    A and B those of r=1 and r=0, both taken from one pass of each chunk's
-    coefficient products through [K1 | K0]. Per chunk, one quadratic per
-    time and Yu-Eberly branch bounds the onset from below
-    (`_onset_bound`), and the eps test runs upwards from one grid step
-    below that bound, after `_skippable` proves the purities before it
-    unentangled. A chunk whose bound cannot be proven scans from r = 0.
-    The result always equals that of the plain scan from r = 0 in every
-    chunk; for eps >= 0 its cost no longer grows as 1/dr.
+    A and B those of r=1 and r=0, both taken from one pass of each
+    chunk's coefficient products. The concurrence is convex in r, so per
+    chunk a bisection (`_scan_start`) proves a run of low purities
+    unentangled, and the eps test runs upwards from the first purity the
+    proof does not cover. A chunk where the proof cannot be made scans
+    from r = 0. The result always equals that of the plain scan from
+    r = 0 in every chunk. For eps above _SKIP_MARGIN its cost grows as
+    log(1/dr), not as 1/dr; a smaller eps leaves no room for the proof,
+    and every purity up to the answer is tried.
     """
     if not 0.0 < dr <= 1.0:
         raise ValueError(f"dr must lie in (0, 1], got {dr}")
@@ -513,10 +458,10 @@ def transient_entanglement_threshold(
         raise ValueError(f"eps must be finite and non-negative, got {eps}")
     n = _purity_steps(dr)
     grid = time_grid(cfg)
-    kernel = np.hstack([_purity_kernel(1.0), _purity_kernel(0.0)])
     first, found = n + 1, None  # grid index and value of the smallest entangling purity so far
-    for _, (image,) in _kernel_chunks(cfg.params_a, cfg.params_b, grid, [kernel], CHUNK_ROWS):
-        a, b = (_checked_x_entries(half)[:, target.block] for half in np.split(image, 2))
+    chunks = x_entry_chunks(cfg.params_a, cfg.params_b, [1.0, 0.0], grid, CHUNK_ROWS)
+    for _, (a, b) in chunks:
+        a, b = a[:, target.block], b[:, target.block]
         for k in range(_scan_start(a, b, eps, dr, n, first), first):
             r = _purity(k, dr, n)
             if (concurrence_x_entries(r * a + (1.0 - r) * b) > eps).any():

@@ -419,7 +419,7 @@ def test_transient_threshold_on_a_fine_grid_matches_the_plain_scan(name):
     assert 0.3 < found < 0.6
 
 
-def test_transient_threshold_work_does_not_grow_as_dr_shrinks(monkeypatch):
+def test_transient_threshold_work_does_not_grow_as_one_over_dr(monkeypatch):
     calls = []
     measure = scenarios.concurrence_x_entries
     monkeypatch.setattr(scenarios, "concurrence_x_entries", lambda x: calls.append(1) or measure(x))
@@ -428,15 +428,18 @@ def test_transient_threshold_work_does_not_grow_as_dr_shrinks(monkeypatch):
     for dr in (1e-2, 1e-3, 1e-4):
         calls.clear()
         transient_entanglement_threshold(cfg, dr=dr)
+        # per chunk: r = 0, a bisection over the grid, at most two scan steps
+        assert len(calls) <= 2 * (math.log2(scenarios._purity_steps(dr) + 1) + 4)
         counts.append(len(calls))
-    assert counts[0] <= 4  # at most two scan steps per chunk
-    assert counts[2] <= counts[1] <= counts[0]
+    # a hundred times as many purities, less than twice the work
+    assert counts[2] < 2 * counts[0]
+    assert counts[0] <= 16
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
 def test_transient_threshold_refuses_a_bad_eps(eps):
-    # the onset bound holds for eps >= 0 only; a NaN or infinite eps would
-    # read as "no purity entangles", a negative one as "r = 0 does"
+    # a NaN or infinite eps would read as "no purity entangles", a
+    # negative one as "r = 0 does"
     with pytest.raises(ValueError, match="eps must be finite and non-negative"):
         transient_entanglement_threshold(_small_cfg(samples=11), eps=eps)
 
@@ -444,7 +447,7 @@ def test_transient_threshold_refuses_a_bad_eps(eps):
 def test_transient_threshold_fallback_scan_gives_the_same_answer(monkeypatch):
     cfg = dataclasses.replace(preset_config("fig4"), samples=301)
     assert transient_entanglement_threshold(cfg, dr=0.001) == 0.37
-    monkeypatch.setattr(scenarios, "_skippable", lambda *args: False)
+    monkeypatch.setattr(scenarios, "_scan_start", lambda *args: 0)
     assert transient_entanglement_threshold(cfg, dr=0.001) == 0.37
 
 
@@ -461,12 +464,43 @@ def test_transient_threshold_scans_from_zero_when_a_population_is_clipped():
     assert scenarios._scan_start(a, b, 1e-8, 0.01, n, n + 1) == 0
 
 
-def test_transient_threshold_proof_rejects_a_bound_that_is_too_high(monkeypatch):
-    # the scan may skip purities only where the convexity proof holds, so
-    # a wrong onset bound costs time, never the answer
+def test_transient_threshold_scans_from_zero_when_r0_entangles():
+    # convexity bounds the concurrence between r = 0 and r_k only when both
+    # ends sit below eps: here r = 0 and r = 1 entangle and r = 0.5 does not
+    b = np.array([[0.1, 0.4, 0.4, 0.1, 0.3, 0.3, 0, 0]], dtype=complex)
+    a = np.array([[0.1, 0.4, 0.4, 0.1, -0.3, -0.3, 0, 0]], dtype=complex)
+    assert concurrence_x_entries(0.5 * a + 0.5 * b).max() == 0.0
+    n = scenarios._purity_steps(0.01)
+    assert scenarios._scan_start(a, b, 1e-8, 0.01, n, n + 1) == 0
+
+
+def test_transient_threshold_scan_starts_at_most_one_step_below_the_onset():
+    # the bisection skips only purities the convexity proof covers, and
+    # leaves the eps test at most one step to walk
     cfg = dataclasses.replace(preset_config("fig4"), samples=301)
-    monkeypatch.setattr(scenarios, "_onset_bound", lambda a, b, e: 0.9)
-    assert transient_entanglement_threshold(cfg, dr=0.001) == 0.37
+    grid = time_grid(cfg)[:CHUNK_ROWS]
+    a, b = (pair_x_entries(cfg.params_a, cfg.params_b, r, grid)[:, ReductionTarget.AB.block] for r in (1.0, 0.0))
+    for dr in (0.01, 0.001, 1e-4):
+        n = scenarios._purity_steps(dr)
+        onset = next(
+            k for k in range(n + 1)
+            if (concurrence_x_entries(k * dr * a + (1.0 - k * dr) * b) > 1e-8).any()
+        )
+        assert onset - 1 <= scenarios._scan_start(a, b, 1e-8, dr, n, n + 1) <= onset
+
+
+def test_transient_threshold_bisection_steps_over_a_state_the_guard_refuses():
+    # one time whose r = 1 state has an eigenvalue of -0.4 (|rho_23| above
+    # sqrt(rho_22 rho_33)): it entangles from r = 0.22 and fails the
+    # eigenvalue guard from r = 0.39 up, where the plain scan never goes
+    b = np.array([[0.25, 0.25, 0.25, 0.25, 0, 0, 0, 0]], dtype=complex)
+    a = np.array([[0.0, 0.5, 0.5, 0.0, 0.9, 0.9, 0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="eigenvalue"):
+        concurrence_x_entries(0.5 * a + 0.5 * b)
+    n = scenarios._purity_steps(0.01)
+    assert scenarios._scan_start(a, b, 1e-8, 0.01, n, n + 1) in (21, 22)
+    assert (concurrence_x_entries(0.22 * a + 0.78 * b) > 1e-8).all()
+    assert not (concurrence_x_entries(0.21 * a + 0.79 * b) > 1e-8).any()
 
 
 # --------------------------------------------------------------------- CLI
@@ -720,8 +754,7 @@ def test_cli_figure(tmp_path, capsys):
 
 
 def test_cli_figure_sweep_equals_separate_runs(tmp_path, capsys):
-    # the sweep shares one coefficient pass per chunk across its purities;
-    # each file must still be byte-equal to its own config's run
+    # each sweep file is byte-equal to its own config's run
     assert main(["figure", "fig4", "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     for r in SWEEP_PURITIES:
@@ -729,11 +762,6 @@ def test_cli_figure_sweep_equals_separate_runs(tmp_path, capsys):
         fh = io.StringIO(newline="\n")
         write_csv(evolve_concurrences(cfg), fh, cfg.targets)
         assert (tmp_path / f"fig4_r{r:g}.csv").read_bytes() == fh.getvalue().encode("utf-8")
-
-
-def test_evolve_purities_reject_values_outside_the_unit_interval():
-    with pytest.raises(ValueError, match="purity"):
-        evolve_concurrences(_small_cfg(samples=5), purities=[0.5, 1.5])
 
 
 def test_cli_figure_rejects_unknown_name():
