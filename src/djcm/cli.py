@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -170,7 +171,13 @@ def cmd_steady(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call and reused after.
+
+    `parse_args` returns a fresh namespace each time and leaves the
+    parser unchanged, so one parser serves every call in a process.
+    """
     parser = argparse.ArgumentParser(
         prog="djcm",
         description="Entanglement dynamics of two atom-cavity pairs in Lorentzian reservoirs.",

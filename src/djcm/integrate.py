@@ -12,7 +12,11 @@ pattern, and each step acts on every block through its classical RK4
 step matrix, built from the same three generator evaluations as the
 four stages. Blocks whose restricted ops are exactly equal, or exactly
 complex conjugate (a Hermiticity-preserving generator pairs them up),
-share one representative's step matrices, conjugated where needed.
+share one representative's step matrices, conjugated where needed. The
+step matrices exist a chunk at a time, and a chunk holds a fixed budget
+of representative entries rather than a fixed number of steps, so the
+3x3 oracle takes longer chunks than the pair and memory stays bounded
+either way.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -134,11 +138,15 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
     )
 
 
-# Most RK4 steps whose step matrices exist at once. A chunk holds whole
-# recording intervals when they are this short, and otherwise a piece of
-# one interval, so memory stays bounded (about 2 MB of temporaries for
-# the pair) whatever the plan; the rates are evaluated once per chunk.
-_STEP_CHUNK = 128
+# Most representative step-matrix entries that exist at once: 256 steps
+# of the pair, which holds 153 per step (one real 9x9, six 3x3 and
+# eighteen 1x1 representatives). A generator gets as many steps per chunk
+# as fit (`_chunk_steps`: 256 for the pair, 3264 for one partition's 12
+# entries per step). A chunk holds whole recording intervals when they
+# are this short, and otherwise a piece of one interval, so memory stays
+# bounded (about 2 MB of temporaries) whatever the plan; the rates are
+# evaluated once per chunk.
+_CHUNK_ENTRIES = 256 * 153
 
 
 def _dressed_hamiltonian(p: JcmParams) -> np.ndarray:
@@ -373,15 +381,22 @@ def _chunks(n: int, every: int, size: int):
                 yield first, 1, min(size, start + every - first)
 
 
+def _chunk_steps(gen: _Generator) -> int:
+    """RK4 steps per chunk: as many as `_CHUNK_ENTRIES` representative entries hold, at least 1."""
+    return max(1, _CHUNK_ENTRIES // sum(math.prod(g.shape) for g in gen.groups))
+
+
 def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -> Trajectory:
     """Classical RK4 on vec(rho), one step matrix per step and invariant block.
 
-    Per chunk, the rates come from the half-step grid j*h/2 in one call
-    per channel. Each block group forms the chunk's step matrices for its
-    representatives, then the products over each run of steps that ends
-    at or before the next recording point (`_chunks`), expands those to
-    every block (`_BlockGroup.expand`) and applies them to its part of
-    vec(rho) in order.
+    A chunk holds `_chunk_steps(gen)` steps, so the presets' recording
+    intervals, at most 150 steps, run whole. Per chunk, the rates come
+    from the half-step grid j*h/2 in one call per channel. Each block
+    group forms the chunk's step matrices for its representatives, then
+    the products over each run of steps that ends at or before the next
+    recording point (`_chunks`), expands those to every block
+    (`_BlockGroup.expand`) and applies them to its part of vec(rho) in
+    order.
     """
     n = cfg.n_steps()
     every = cfg.record_every
@@ -392,7 +407,7 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     states = np.empty((n // every + 1, d, d), dtype=complex)
     states[0] = rho0
     parts = [rho0.reshape(-1)[g.idx] for g in gen.groups]
-    for first, q, span in _chunks(n, every, _STEP_CHUNK):
+    for first, q, span in _chunks(n, every, _chunk_steps(gen)):
         w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
         runs = [
             g.expand(
@@ -477,7 +492,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
 
 # Most equal sub-panels `rate_from_spectral_density` cuts [0, max t] into;
 # the validate grid of the most strongly detuned preset (fig2c, t <= 10)
-# needs about 340. A larger plan is refused before anything is integrated.
+# needs about 670. A larger plan is refused before anything is integrated.
 _MAX_SUBPANELS = 1_000_000
 
 
@@ -502,13 +517,14 @@ def rate_from_spectral_density(p: JcmParams, omega: float, t):
     fooled by aliasing (Lyness, J. ACM 16, 483 (1969)): on a panel that
     spans whole oscillation periods its few samples can miss the
     oscillation, so the whole-panel and half-panel estimates agree while
-    both are wrong. So each piece is first cut into
-    ceil(length (|omega - center| + lam) / pi) equal sub-panels, none
-    longer than half a period, and adaptive Simpson runs on each with an
-    absolute tolerance of 1e-12 * (sub-panel length / max t): the budgets
-    add up to 1e-12 on every [0, t]. Raises ValueError for a time that
-    is negative, NaN or infinite, and for a grid that would need more
-    than a million sub-panels.
+    both are wrong, and on a panel of half a period its error estimate
+    can still undershoot (3e-12 at one fig2a time). So each piece is
+    first cut into ceil(2 length (|omega - center| + lam) / pi) equal
+    sub-panels, none longer than a quarter period, and adaptive Simpson
+    runs on each with an absolute tolerance of 1e-12 * (sub-panel length
+    / max t): the budgets add up to 1e-12 on every [0, t]. Raises
+    ValueError for a time that is negative, NaN or infinite, and for a
+    grid that would need more than a million sub-panels.
     """
     times = np.asarray(t, dtype=float)
     if not np.isfinite(times).all():
@@ -526,7 +542,7 @@ def rate_from_spectral_density(p: JcmParams, omega: float, t):
     order = np.argsort(times, axis=None)
     ends = times.reshape(-1)[order]
     t_max = float(ends[-1]) if len(ends) else 0.0
-    per_unit = (abs(detuning) + p.lam) / math.pi  # sub-panels per unit time
+    per_unit = 2.0 * (abs(detuning) + p.lam) / math.pi  # sub-panels per unit time
     if t_max * per_unit > _MAX_SUBPANELS:
         raise ValueError(
             f"t up to {t_max:g} would need {math.ceil(t_max * per_unit)} quadrature "

@@ -110,6 +110,9 @@ class ScenarioConfig:
             raise ValueError(f"output must be 'csv' or 'json', got {self.output!r}")
         if not self.targets:
             raise ValueError("targets must not be empty")
+        repeated = sorted({t.value for t in self.targets if self.targets.count(t) > 1})
+        if repeated:
+            raise ValueError(f"targets must not repeat a name, got {', '.join(repeated)} twice or more")
 
 
 # (coupling omega, reservoir width lam, purity, t_max); purity None marks

@@ -168,18 +168,73 @@ def test_oracle_stays_independent_of_the_closed_form():
     }
 
 
+# representative step-matrix entries per step: one real 9x9, six 3x3 and
+# eighteen 1x1 for the pair; one 3x3 and three 1x1 for one partition
+PAIR_ENTRIES = 81 + 6 * 9 + 18
+SINGLE_ENTRIES = 9 + 3
+
+
 def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
     cfg = oracle_config(1.0, 11, P, P_MEMORY)
     assert cfg.n_steps() > 100 and cfg.record_every > 1
     rho0 = initial_state(0.7)
-    monkeypatch.setattr(integrate, "_STEP_CHUNK", cfg.n_steps())  # one chunk
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", cfg.n_steps() * PAIR_ENTRIES)  # one chunk
     whole = integrate_pair(rho0, P, P_MEMORY, cfg)
-    monkeypatch.setattr(integrate, "_STEP_CHUNK", 7)  # divides neither n nor record_every
+    # 7 steps, which divides neither n nor record_every
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 7 * PAIR_ENTRIES)
     chunked = integrate_pair(rho0, P, P_MEMORY, cfg)
     assert np.array_equal(chunked.times, whole.times)
     assert len(chunked) == 11
     assert np.array_equal(chunked.states[0], rho0)
     assert np.abs(chunked.states - whole.states).max() < 1e-15
+
+
+def test_the_entry_budget_sets_the_chunk_length():
+    pair, single = integrate._pair_generator(P, P_MEMORY), integrate._single_generator(P)
+    assert sum(math.prod(g.shape) for g in pair.groups) == PAIR_ENTRIES
+    assert sum(math.prod(g.shape) for g in single.groups) == SINGLE_ENTRIES
+    assert integrate._chunk_steps(pair) == 256
+    assert integrate._chunk_steps(single) == 3264
+
+
+@pytest.mark.parametrize("oracle", ["pair", "single"])
+def test_a_150_step_recording_interval_runs_whole(monkeypatch, oracle):
+    # fig2c and fig4 record every 150 steps; no run may cut an interval
+    cfg = oracle_config(0.3, 16, P_STIFF)
+    assert cfg.record_every == 150
+    runs = []
+
+    def recorded(n, every, size):
+        for run in chunks(n, every, size):
+            runs.append(run)
+            yield run
+
+    chunks = integrate._chunks
+    monkeypatch.setattr(integrate, "_chunks", recorded)
+    if oracle == "pair":
+        integrate_pair(initial_state(1.0), P_STIFF, P_STIFF, cfg)
+    else:
+        integrate_single(_uniform3(), P_STIFF, cfg)
+    assert {span for _, _, span in runs} == {150}
+    assert sum(q for _, q, _ in runs) == 15
+    assert len(runs) == (15 if oracle == "pair" else 1)
+
+
+def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
+    # every fig2a interval is shorter than 128 steps, so chunks of 128
+    # steps and those the budget sets hold whole intervals alike and the
+    # states agree to the last bit
+    cfg = preset_config("fig2a")
+    pair_cfg = oracle_config(cfg.t_max, cfg.samples, cfg.params_a, cfg.params_b)
+    single_cfg = oracle_config(cfg.t_max, cfg.samples, cfg.params_a)
+    assert max(pair_cfg.record_every, single_cfg.record_every) <= 128
+    rho0, single0 = initial_state(cfg.purity), _uniform3()
+    pair = integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states
+    single = integrate_single(single0, cfg.params_a, single_cfg).states
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * PAIR_ENTRIES)
+    assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * SINGLE_ENTRIES)
+    assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
 
 
 def _block_labels(gen) -> np.ndarray:
@@ -337,6 +392,21 @@ def test_a_long_recording_interval_runs_in_bounded_memory():
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_a_long_recording_interval_runs_in_bounded_memory_single():
+    # the single partition takes 3264-step chunks; the same bound holds
+    cfg = IntegratorConfig(step=0.001, t_end=20.0, record_every=20_000)
+    rho0 = _uniform3()
+    tracemalloc.start()
+    try:
+        traj = integrate_single(rho0, P, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 2
+    assert np.abs(traj.states[-1] - propagate_single(rho0, P, 20.0)).max() < 1e-6
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def _nan_after_one(rate):
     def patched(p, t):
         return np.where(np.asarray(t) > 1.0, math.nan, rate(p, t))
@@ -485,6 +555,18 @@ def test_quadrature_matches_both_branches_on_every_validate_rate_grid(name):
         upper = rate_from_spectral_density(p, p.omega0 + p.omega, times)
         assert np.abs(lower - decay_rate_minus(p, times)).max() <= 1e-12
         assert np.abs(upper - decay_rate_plus(p, times)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c", "fig3a"])
+def test_quadrature_at_one_time_stays_within_its_budget(name):
+    # one time is one piece [0, t]; on sub-panels of half a period adaptive
+    # Simpson's error estimate undershot to 3.0e-12 (fig2a, t = 5.55)
+    p = preset_config(name).params_a
+    for t in np.linspace(0.0, 10.0, 201).tolist():
+        lower = rate_from_spectral_density(p, p.omega0 - p.omega, t)
+        upper = rate_from_spectral_density(p, p.omega0 + p.omega, t)
+        assert abs(lower - decay_rate_minus(p, t)) <= 1e-12, t
+        assert abs(upper - decay_rate_plus(p, t)) <= 1e-12, t
 
 
 def test_quadrature_over_a_time_grid_keeps_its_shape_and_order():

@@ -604,11 +604,13 @@ _GOOD = {"params_a": {"omega": 1, "lam": 5}, "purity": 1, "t_max": 1, "samples":
         ({**_GOOD, "t_max": "1"}, "t_max"),
         ({**_GOOD, "targets": None}, "targets"),
         ({**_GOOD, "targets": ["AB", "XY"]}, "targets"),
+        ({**_GOOD, "targets": ["AB", "ab", "AB"]}, "targets"),
         ({**_GOOD, "samples": 2.9}, "samples"),
     ],
     ids=[
         "list", "params-number", "params-null", "param-null", "purity-null",
-        "tmax-string", "targets-null", "targets-unknown", "samples-fraction",
+        "tmax-string", "targets-null", "targets-unknown", "targets-repeated",
+        "samples-fraction",
     ],
 )
 def test_cli_rejects_malformed_config_values(tmp_path, capsys, command, config, key):
@@ -808,6 +810,40 @@ def test_cli_steady_local_rejects_r(capsys):
 def test_cli_steady_requires_r_for_nonlocal(capsys):
     assert main(["steady", "--which", "nonlocal"]) == 2
     assert "--r is required" in capsys.readouterr().err
+
+
+def test_cli_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; no flag, default or error
+    # of one call may carry over to the next
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_GOOD), encoding="utf-8")
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["evolve", "--config", str(cfg_path), "--r", "0.3"]) == 0
+    assert capsys.readouterr().out != from_file
+    assert main(["evolve", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == from_file
+
+    assert main(["steady", "--which", "nonlocal", "--r", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 0.5
+    assert main(["steady", "--which", "local"]) == 0  # --r 0.5 would be refused here
+    assert json.loads(capsys.readouterr().out)["which"] == "local"
+
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--which", "both"])
+    assert exc.value.code == 2
+    assert main(["steady", "--which", "local"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["which"] == "local"
+    assert "invalid choice" in captured.err
+
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "validate" in helps[0]
 
 
 def test_cli_validate_with_config(tmp_path, capsys):
