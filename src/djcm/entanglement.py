@@ -21,7 +21,7 @@ Yu and Eberly,
 
 is exact. `concurrence_x_entries` evaluates it from the eight X entries
 alone; the trajectory pipeline feeds it those entries straight from
-`evolution.pair_x_entries`. `concurrence_x_state` applies it to whole
+`evolution.x_entry_chunks`. `concurrence_x_state` applies it to whole
 4x4 states after checking they are X-shaped; the spectral `concurrence`
 works for any state and is kept as the independent checker (tests, and
 the route comparison in the validation report).

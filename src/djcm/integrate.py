@@ -21,14 +21,17 @@ either way.
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
 time grid is integrated once, piece by piece between consecutive times,
-on sub-panels short enough that the oscillating integrand cannot alias.
+by one 8-point Gauss-Legendre rule on sub-panels short enough that the
+oscillating integrand cannot alias.
 
-Fixed step rather than adaptive on purpose: the error budget and the
-fourth-order convergence check both want a step that is known exactly.
+Fixed step and fixed rule rather than adaptive on purpose: the error
+budget and the fourth-order convergence check both want a step that is
+known exactly, and the quadrature's error is bounded before it runs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +49,7 @@ __all__ = [
     "integrate_single",
     "integrate_pair",
     "rate_from_spectral_density",
-    "adaptive_simpson",
+    "gauss_legendre",
 ]
 
 _STEP_FRACTION = 1.0 / 50.0  # of the fastest timescale present
@@ -54,7 +57,7 @@ _STEP_FRACTION = 1.0 / 50.0  # of the fastest timescale present
 # How far below the admissible step `oracle_config` plans its steps.
 _ORACLE_SAFETY = 3.0
 
-# Most RK4 steps `oracle_config` plans for one trajectory. The largest
+# Most RK4 steps one oracle trajectory may take. The largest
 # preset (fig2c/fig4) needs 225,000; a plan beyond this cap would run for
 # minutes or hours, so it is refused before anything is integrated.
 MAX_RK4_STEPS = 2_000_000
@@ -64,10 +67,10 @@ MAX_RK4_STEPS = 2_000_000
 class IntegratorConfig:
     """Fixed-step integration plan.
 
-    step         time increment (validated against the parameters at
-                 integration time: it must resolve the fastest of the
-                 oscillation, memory and relaxation timescales)
-    t_end        final time; must be an integer number of steps away
+    step         positive, finite time increment (at integration time it
+                 must resolve the fastest of the oscillation, memory and
+                 relaxation timescales, in at most MAX_RK4_STEPS steps)
+    t_end        finite final time; must be an integer number of steps away
     record_every store every k-th step (t=0 is always stored)
     """
 
@@ -76,11 +79,11 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.t_end < 0.0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        if self.record_every < 1:
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
+        if not self.record_every >= 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     def n_steps(self) -> int:
@@ -127,15 +130,9 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
     spacing = t_end / (samples - 1)
     bound = max_step(*params) / _ORACLE_SAFETY
     per_interval = max(1, math.ceil(spacing / bound - 1e-12))
-    planned = per_interval * (samples - 1)
-    if planned > MAX_RK4_STEPS:
-        raise ValueError(
-            f"the RK4 oracle would need {planned} steps, more than the cap of "
-            f"{MAX_RK4_STEPS}; shorten t_max or slow the fastest timescale"
-        )
-    return IntegratorConfig(
-        step=spacing / per_interval, t_end=t_end, record_every=per_interval
-    )
+    cfg = IntegratorConfig(step=spacing / per_interval, t_end=t_end, record_every=per_interval)
+    _check_plan(cfg, *params)
+    return cfg
 
 
 # Most representative step-matrix entries that exist at once: 256 steps
@@ -434,19 +431,24 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     return traj
 
 
-def _check_step(cfg: IntegratorConfig, *params: JcmParams) -> None:
+def _check_plan(cfg: IntegratorConfig, *params: JcmParams) -> None:
     bound = max_step(*params)
     if cfg.step > bound * (1.0 + 1e-12):
         raise ValueError(
             f"step {cfg.step:g} exceeds the stability bound {bound:g} "
             "for these parameters"
         )
+    if cfg.t_end / cfg.step > MAX_RK4_STEPS + 0.5:
+        raise ValueError(
+            f"the RK4 oracle would need {cfg.t_end / cfg.step:.0f} steps, more than the cap "
+            f"of {MAX_RK4_STEPS}; shorten the run or slow the fastest timescale"
+        )
 
 
 def integrate_single(rho0: np.ndarray, p: JcmParams, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of one partition's 3x3 dressed-basis state."""
     rho0 = validate_density_matrix(rho0, 3, name="rho0")
-    _check_step(cfg, p)
+    _check_plan(cfg, p)
     return _run_rk4(rho0, _single_generator(p), cfg, (p,))
 
 
@@ -455,39 +457,38 @@ def integrate_pair(
 ) -> Trajectory:
     """RK4 trajectory of the joint 9x9 dressed-basis state."""
     rho0 = validate_density_matrix(rho0, 9, name="rho0")
-    _check_step(cfg, p_a, p_b)
+    _check_plan(cfg, p_a, p_b)
     return _run_rk4(rho0, _pair_generator(p_a, p_b), cfg, (p_a, p_b))
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Recursive adaptive Simpson quadrature with absolute tolerance."""
-    if a == b:
-        return 0.0
+_PANEL_BLOCK = 4096  # sub-panels `gauss_legendre` evaluates at once (bounded memory)
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if depth >= max_depth:
-            raise RuntimeError("adaptive Simpson recursion exceeded maximum depth")
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1
-        )
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] and weights (summing to 1) of the 8-point Gauss-Legendre rule.
 
-    fm = f(0.5 * (a + b))
-    fa, fb = f(a), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    Built on first use: importing numpy.polynomial costs a few ms.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(8)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def gauss_legendre(f, a: float, b: float, panels: int) -> float:
+    """Integral of f over [a, b] by the 8-point Gauss-Legendre rule on `panels` equal sub-panels.
+
+    `f` maps an array of abscissae to an array of values. Exact through
+    degree 15 on each sub-panel; reversed limits flip the sign.
+    """
+    nodes, weights = _gauss_rule()
+    h = (b - a) / panels
+    blocks = []
+    for first in range(0, panels, _PANEL_BLOCK):
+        left = np.arange(first, min(first + _PANEL_BLOCK, panels))[:, None]
+        blocks.append(h * float((f(a + (left + nodes) * h) @ weights).sum()))
+    return math.fsum(blocks)
 
 
 # Most equal sub-panels `rate_from_spectral_density` cuts [0, max t] into;
@@ -506,25 +507,27 @@ def rate_from_spectral_density(p: JcmParams, omega: float, t):
 
         rate(omega, t) = gamma0 lam * integral_0^t e^{-lam tau} cos((omega - center) tau) dtau,
 
-    evaluated here by adaptive Simpson quadrature. No closed-form rate
-    expression is reused.
+    evaluated here by quadrature; no closed-form rate expression is
+    reused.
 
     `t` is one time (the rate comes back as a float) or an array of
     times (an array of rates of the same shape). The sorted times cut
     [0, max t] into consecutive pieces [t_{k-1}, t_k]; each piece is
     integrated once and the rates are the running sums, so a whole time
-    grid costs about as much as its largest time. Adaptive Simpson is
-    fooled by aliasing (Lyness, J. ACM 16, 483 (1969)): on a panel that
-    spans whole oscillation periods its few samples can miss the
-    oscillation, so the whole-panel and half-panel estimates agree while
-    both are wrong, and on a panel of half a period its error estimate
-    can still undershoot (3e-12 at one fig2a time). So each piece is
-    first cut into ceil(2 length (|omega - center| + lam) / pi) equal
-    sub-panels, none longer than a quarter period, and adaptive Simpson
-    runs on each with an absolute tolerance of 1e-12 * (sub-panel length
-    / max t): the budgets add up to 1e-12 on every [0, t]. Raises
-    ValueError for a time that is negative, NaN or infinite, and for a
-    grid that would need more than a million sub-panels.
+    grid costs about as much as its largest time. Each piece is cut into
+    ceil(2 length s / pi) equal sub-panels, s = |omega - center| + lam,
+    none longer than a quarter period, so no rule's samples can alias
+    the oscillation (Lyness, J. ACM 16, 483 (1969)), and `gauss_legendre`
+    runs on all of them. Its error is then bounded in advance (Davis &
+    Rabinowitz, Methods of Numerical Integration, 2.7): the integrand
+    gamma0 lam Re e^{(-lam + i(omega - center)) tau} has a 16th
+    derivative of at most gamma0 lam s^16, so a sub-panel of length
+    h <= pi / (2 s) is off by at most
+    gamma0 lam h (h s)^16 (8!)^4 / (17 (16!)^3) <= 2.4e-20 gamma0 lam h
+    and [0, t] by at most 2.4e-20 gamma0 lam t < 4e-14 gamma0, since the
+    sub-panel cap bounds lam t by 1.57e6 (7 points would allow 5.7e-11).
+    Raises ValueError for a time that is negative, NaN or infinite, and
+    for a grid that would need more than a million sub-panels.
     """
     times = np.asarray(t, dtype=float)
     if not np.isfinite(times).all():
@@ -536,8 +539,8 @@ def rate_from_spectral_density(p: JcmParams, omega: float, t):
     center = p.omega0 - p.omega
     detuning = omega - center
 
-    def integrand(tau: float) -> float:
-        return p.gamma0 * p.lam * math.exp(-p.lam * tau) * math.cos(detuning * tau)
+    def integrand(tau: np.ndarray) -> np.ndarray:
+        return p.gamma0 * p.lam * np.exp(-p.lam * tau) * np.cos(detuning * tau)
 
     order = np.argsort(times, axis=None)
     ends = times.reshape(-1)[order]
@@ -552,12 +555,8 @@ def rate_from_spectral_density(p: JcmParams, omega: float, t):
     start = 0.0
     for k, end in enumerate(ends.tolist()):
         if end > start:
-            edges = np.linspace(start, end, max(1, math.ceil((end - start) * per_unit)) + 1)
-            tol = 1e-12 * (edges[1] - edges[0]) / t_max
-            pieces[k] = math.fsum(
-                adaptive_simpson(integrand, a, b, tol=tol)
-                for a, b in zip(edges[:-1].tolist(), edges[1:].tolist())
-            )
+            panels = max(1, math.ceil((end - start) * per_unit))
+            pieces[k] = gauss_legendre(integrand, start, end, panels)
         start = end
     rates = np.empty(len(ends))
     rates[order] = np.cumsum(pieces)

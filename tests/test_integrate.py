@@ -9,6 +9,9 @@ since a silently under-resolved oracle would pass everything.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from djcm import integrate
 from djcm.evolution import propagate_pair
 from djcm.integrate import (
     IntegratorConfig,
-    adaptive_simpson,
+    gauss_legendre,
     integrate_pair,
     integrate_single,
     max_step,
@@ -55,6 +58,29 @@ def test_config_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(step=0.3, t_end=1.0).n_steps()  # does not divide
     assert IntegratorConfig(step=0.1, t_end=1.0).n_steps() == 10
+
+
+def test_config_refuses_a_nan_step():
+    # NaN fails every comparison, so `step <= 0` alone lets it through
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        IntegratorConfig(step=math.nan, t_end=1.0)
+
+
+def test_config_refuses_an_infinite_end():
+    # an infinite end has no step count (int(round(inf)) overflows)
+    with pytest.raises(ValueError, match="t_end must be non-negative and finite"):
+        IntegratorConfig(step=0.1, t_end=math.inf)
+
+
+def test_direct_integration_refuses_plans_beyond_the_step_cap():
+    # a caller that builds its own config, not through oracle_config, must
+    # meet the same cap: 1e8 steps is refused before anything is allocated
+    cfg = IntegratorConfig(step=1e-3, t_end=1e5)
+    assert cfg.step <= max_step(P)
+    with pytest.raises(ValueError, match=f"cap of {integrate.MAX_RK4_STEPS}"):
+        integrate_single(_uniform3(), P, cfg)
+    with pytest.raises(ValueError, match=f"cap of {integrate.MAX_RK4_STEPS}"):
+        integrate_pair(initial_state(1.0), P, P, cfg)
 
 
 def test_max_step_tracks_fastest_timescale():
@@ -494,23 +520,34 @@ def test_trajectory_bookkeeping():
     assert traj.params == (P,)
 
 
-def test_adaptive_simpson_polynomial_exactness():
-    # Simpson is exact through cubics; the adaptive wrapper must
-    # terminate on the first level for them
+def test_gauss_legendre_polynomial_exactness():
     # antiderivative x^4/4 - x^2 + x between -1 and 2: 2 - (-7/4)
-    assert adaptive_simpson(lambda x: x**3 - 2 * x + 1, -1.0, 2.0) == pytest.approx(
+    assert gauss_legendre(lambda x: x**3 - 2 * x + 1, -1.0, 2.0, 1) == pytest.approx(
         3.75, abs=1e-13
     )
-    assert adaptive_simpson(lambda x: 5.0, 0.0, 10.0) == pytest.approx(50.0)
-    assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
-    assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+    assert gauss_legendre(lambda x: np.full_like(x, 5.0), 0.0, 10.0, 1) == pytest.approx(50.0)
+    assert gauss_legendre(np.sin, 0.0, math.pi, 1) == pytest.approx(2.0, abs=1e-10)
+    assert gauss_legendre(np.exp, 1.0, 1.0, 1) == 0.0
     # reversed limits come out with the sign flipped
-    assert adaptive_simpson(lambda x: x, 1.0, 0.0) == pytest.approx(-0.5)
+    assert gauss_legendre(lambda x: x, 1.0, 0.0, 1) == pytest.approx(-0.5)
+    # 8 points: exact through degree 15, not at degree 16, whose error on
+    # [0, 1] is (8!)^4 / (17 (16!)^2) = 3.55e-10
+    assert gauss_legendre(lambda x: 16.0 * x**15, 0.0, 1.0, 1) == pytest.approx(1.0, abs=1e-13)
+    miss = 1.0 / 17.0 - gauss_legendre(lambda x: x**16, 0.0, 1.0, 1)
+    assert miss == pytest.approx(3.551354161528301e-10, rel=1e-4)
+    # 9999 sub-panels, three blocks: each one is exact for the cubic
+    assert gauss_legendre(lambda x: x**3 - 2 * x + 1, -1.0, 2.0, 9999) == pytest.approx(
+        3.75, abs=1e-13
+    )
 
 
-def test_adaptive_simpson_depth_guard():
-    with pytest.raises(RuntimeError, match="depth"):
-        adaptive_simpson(lambda x: math.sin(1.0 / (x + 1e-30)), 0.0, 1.0, tol=1e-14, max_depth=6)
+def test_gauss_nodes_are_built_on_first_use():
+    # numpy.polynomial costs a few ms to import; no production command needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(integrate.__file__).parents[1]))
+    code = "import sys, djcm.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_quadrature_rate_matches_lower_branch():
@@ -546,8 +583,8 @@ def test_quadrature_rate_generic_detuning_long_time_lorentzian():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_quadrature_matches_both_branches_on_every_validate_rate_grid(name):
     # the grid `validation_report` integrates; on the strongly detuned
-    # upper branch (fig2c, fig4) adaptive Simpson over whole periods was
-    # fooled by aliasing into errors of 3.9e-9
+    # upper branch (fig2c, fig4) a rule over whole periods is fooled by
+    # aliasing (3.9e-9 off), so this holds the quarter-period sub-panels
     cfg = preset_config(name)
     times = np.linspace(0.0, min(cfg.t_max, 10.0), 21)
     for p in {cfg.params_a, cfg.params_b}:
@@ -559,8 +596,8 @@ def test_quadrature_matches_both_branches_on_every_validate_rate_grid(name):
 
 @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c", "fig3a"])
 def test_quadrature_at_one_time_stays_within_its_budget(name):
-    # one time is one piece [0, t]; on sub-panels of half a period adaptive
-    # Simpson's error estimate undershot to 3.0e-12 (fig2a, t = 5.55)
+    # one time is one piece [0, t], so its error is the sum of every
+    # sub-panel's bound
     p = preset_config(name).params_a
     for t in np.linspace(0.0, 10.0, 201).tolist():
         lower = rate_from_spectral_density(p, p.omega0 - p.omega, t)
@@ -591,9 +628,26 @@ def test_quadrature_rejects_negative_time():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan])], ids=["nan", "inf", "grid"])
 def test_quadrature_rejects_non_finite_time(bad):
-    # NaN once ran into the recursion-depth guard and inf into a math domain error
+    # a non-finite time has no sub-panel plan
     with pytest.raises(ValueError, match="t must be finite"):
         rate_from_spectral_density(P, 0.0, bad)
+
+
+def test_quadrature_memory_stays_bounded_at_the_sub_panel_cap():
+    # fig2c's upper branch at a time just under the cap: about a million
+    # sub-panels in one piece, evaluated a block at a time
+    p = preset_config("fig2c").params_a
+    omega = p.omega0 + p.omega
+    t = 0.999 * integrate._MAX_SUBPANELS * math.pi / (2.0 * (2.0 * p.omega + p.lam))
+    rate_from_spectral_density(p, omega, 1.0)  # builds the Gauss nodes
+    tracemalloc.start()
+    try:
+        quad = rate_from_spectral_density(p, omega, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
+    assert abs(quad - decay_rate_plus(p, t)) <= 1e-12
 
 
 def test_quadrature_refuses_grids_beyond_the_sub_panel_cap():
