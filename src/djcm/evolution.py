@@ -25,17 +25,16 @@ with K1 and K0 fixed tables built once at import from the patterns,
 build proves both tables exactly real, so they are stored as float64.
 
 `x_entry_chunks` is the one place that evaluates the product. For each
-chunk of times it forms the 57 coefficient products once, with time on
-the last axis, and applies the kernel of each purity it was given as one
-real matrix product over the float view of those products (real and
-imaginary parts interleaved along time), into buffers allocated once per
-call. It yields the X entries of each purity after the trace and
-Hermiticity checks. On one BLAS thread, `evolve_concurrences` on fig2a
-(1501 samples) takes 3.1-3.3 ms this way, against 4.0-4.6 ms for complex
-(T, 57) @ (57, 49) products over the same kernel. `pair_x_entries` is
-its one-chunk, one-purity case; the trajectory driver (one purity) and
-the threshold scan (r = 1 and r = 0) iterate it. `propagate_pairs` stays
-as the independent 9x9 route that checks the product.
+chunk of at most `CHUNK_ROWS` times it forms the 57 coefficient products
+once, with time on the last axis, and applies the kernel of each purity
+it was given as one real matrix product over the float view of those
+products (real and imaginary parts interleaved along time), into buffers
+allocated once per call. It yields the X entries of each purity after
+the trace and Hermiticity checks. On one BLAS thread, `evolve_concurrences`
+on fig2a (1501 samples) takes 3.1-3.3 ms this way, against 4.0-4.6 ms for
+complex (T, 57) @ (57, 49) products over the same kernel. The trajectory
+driver (one purity) and the threshold scan (r = 1 and r = 0) iterate it;
+`propagate_pairs` stays as the independent 9x9 route that checks it.
 """
 
 from __future__ import annotations
@@ -48,12 +47,19 @@ from .propagator import PATTERNS, JcmParams, coefficients, transfer_tensor
 from .states import _REDUCTION, initial_state
 
 __all__ = [
-    "pair_x_entries",
+    "CHUNK_ROWS",
     "x_entry_chunks",
     "propagate_pair",
     "propagate_pairs",
     "min_eigenvalue",
 ]
+
+# Time samples propagated, reduced and measured together. Large enough
+# that numpy, not the interpreter, does the work; small enough that memory
+# does not grow with the grid: draining `x_entry_chunks` peaks at about
+# 1.0 MB under tracemalloc with one purity and 1.24 MB with two, and a
+# (CHUNK_ROWS, 9, 9) complex stack of the checking route is 0.33 MB.
+CHUNK_ROWS = 256
 
 
 def _pair_map(ta: np.ndarray, tb: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -84,14 +90,19 @@ def propagate_pairs(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, times: np.nd
     if times.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
     out = _pair_map(transfer_tensor(p_a, times), transfer_tensor(p_b, times), r0)
-
-    drift = np.abs(np.trace(out, axis1=1, axis2=2) - r0.trace()).max(initial=0.0)
-    if not drift <= 1e-12:
-        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
-    defect = np.abs(out - out.conj().transpose(0, 2, 1)).max(initial=0.0)
-    if not defect <= 1e-10:
-        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
+    _check_drift(
+        np.abs(np.trace(out, axis1=1, axis2=2) - r0.trace()).max(initial=0.0),
+        np.abs(out - out.conj().transpose(0, 2, 1)).max(initial=0.0),
+    )
     return out
+
+
+def _check_drift(trace: float, hermiticity: float) -> None:
+    """The one guard of both routes: trace drift within 1e-12, Hermiticity defect within 1e-10."""
+    if not trace <= 1e-12:
+        raise RuntimeError(f"propagation lost trace ({trace:.3e}); internal error")
+    if not hermiticity <= 1e-10:
+        raise RuntimeError(f"propagation broke Hermiticity ({hermiticity:.3e}); internal error")
 
 
 def _x_kernel() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,45 +144,11 @@ def _purity_kernel(r: float) -> np.ndarray:
     return r * _K1 + (1.0 - r) * _K0
 
 
-def _kernel_chunks(p_a: JcmParams, p_b: JcmParams, times: np.ndarray, kernels, chunk_rows: int):
-    """Apply float (57, m) kernels to the coefficient products, chunk by chunk.
-
-    For each chunk of at most `chunk_rows` of the 1-d `times`, the 57
-    products c_A[k] c_B[l] are formed once, with time on the last axis.
-    Each kernel then meets them in one real matrix product over their
-    float view (real and imaginary parts interleaved along time), which
-    is the complex product because the kernels are real. Yields
-    (rows, images): `rows` the chunk's slice of `times`, `images` one
-    (m, len) complex array per kernel. The buffers behind the products
-    and the images are allocated once and overwritten by the next chunk.
-    """
-    size = min(len(times), chunk_rows)
-    prods = np.empty(len(_PAIR_A) * size, dtype=complex)
-    tables = [np.ascontiguousarray(k.T) for k in kernels]
-    images = [np.empty(len(table) * size, dtype=complex) for table in tables]
-    for start in range(0, len(times), chunk_rows):
-        t = times[start:start + chunk_rows]
-        c_a = coefficients(p_a, t).T
-        c_b = c_a if p_b == p_a else coefficients(p_b, t).T
-        chunk = prods[: len(_PAIR_A) * len(t)].reshape(-1, len(t))
-        np.multiply(c_a[_PAIR_A], c_b[_PAIR_B], out=chunk)
-        out = []
-        for table, buf in zip(tables, images):
-            image = buf[: len(table) * len(t)].reshape(-1, len(t))
-            np.matmul(table, chunk.view(float), out=image.view(float))
-            out.append(image)
-        yield slice(start, start + len(t)), out
-
-
 def _checked_x_entries(image: np.ndarray) -> np.ndarray:
     """(T, 6, 8) X entries of a (49, T) image of `_purity_kernel`, guarded.
 
-    Row 48 of the image is the trace of the 9x9 pair state. Trace and
-    Hermiticity drift are checked with the bounds of `propagate_pairs`.
+    Row 48 of the image is the trace of the 9x9 pair state.
     """
-    drift = np.abs(image[-1] - 1.0).max(initial=0.0)
-    if not drift <= 1e-12:
-        raise RuntimeError(f"propagation lost trace ({drift:.3e}); internal error")
     x = image[:-1].reshape(6, 8, -1)
     # np.max, unlike max(), carries a NaN through to the gate
     defect = np.max([
@@ -179,44 +156,40 @@ def _checked_x_entries(image: np.ndarray) -> np.ndarray:
         np.abs(x[:, 4] - x[:, 5].conj()).max(initial=0.0),
         np.abs(x[:, 6] - x[:, 7].conj()).max(initial=0.0),
     ])
-    if not defect <= 1e-10:
-        raise RuntimeError(f"propagation broke Hermiticity ({defect:.3e}); internal error")
+    _check_drift(np.abs(image[-1] - 1.0).max(initial=0.0), defect)
     return x.transpose(2, 0, 1)
 
 
-def x_entry_chunks(p_a: JcmParams, p_b: JcmParams, purities, times: np.ndarray, chunk_rows: int):
+def x_entry_chunks(p_a: JcmParams, p_b: JcmParams, purities, times: np.ndarray):
     """X entries of the six reductions at each purity, chunk by chunk of `times`.
 
     The pair starts in `initial_state(r)` for each r of `purities`, all
-    in [0, 1]. For each chunk of at most `chunk_rows` of the 1-d `times`,
+    in [0, 1]. For each chunk of at most `CHUNK_ROWS` of the 1-d `times`,
     yields (rows, entries): `rows` the chunk's slice of `times`,
-    `entries` one (len, 6, 8) complex array per purity, laid out as
-    `pair_x_entries` returns them. The purities share the chunk's
-    coefficient products. Trace and Hermiticity drift are checked with
-    the bounds of `propagate_pairs`. The arrays are views of buffers that
-    the next chunk overwrites.
+    `entries` one (len, 6, 8) complex array per purity, whose second axis
+    runs over `ReductionTarget` and last over `X_ENTRIES`. Every other
+    entry of every reduction is exactly zero (checked once, when the
+    kernel is built). Trace and Hermiticity drift are checked with the
+    bounds of `propagate_pairs`. The purities share each chunk's
+    coefficient products; the arrays yielded are views of buffers
+    allocated once per call, which the next chunk overwrites.
     """
-    kernels = [_purity_kernel(r) for r in purities]
-    for rows, images in _kernel_chunks(p_a, p_b, times, kernels, chunk_rows):
-        yield rows, [_checked_x_entries(image) for image in images]
-
-
-def pair_x_entries(p_a: JcmParams, p_b: JcmParams, r: float, times: np.ndarray) -> np.ndarray:
-    """X entries of the six reductions of the pair state at each of T times.
-
-    The pair starts in `initial_state(r)`. Returns a (T, 6, 8) complex
-    array: the second axis runs over `ReductionTarget`, the last over
-    `X_ENTRIES`. Every other entry of every reduction is exactly zero
-    (checked once, when the kernel is built). Trace and Hermiticity
-    drift are checked with the bounds of `propagate_pairs`.
-    """
-    times = np.asarray(times, dtype=float)
-    flat = times.reshape(-1)
-    chunks = x_entry_chunks(p_a, p_b, [r], flat, max(len(flat), 1))
-    chunk = next(chunks, None)
-    if chunk is None:  # no times
-        return np.empty(times.shape + (6, 8), dtype=complex)
-    return chunk[1][0].reshape(times.shape + (6, 8))
+    tables = [np.ascontiguousarray(_purity_kernel(r).T) for r in purities]
+    size = min(len(times), CHUNK_ROWS)
+    prods = np.empty(len(_PAIR_A) * size, dtype=complex)
+    images = [np.empty(len(table) * size, dtype=complex) for table in tables]
+    for start in range(0, len(times), CHUNK_ROWS):
+        t = times[start:start + CHUNK_ROWS]
+        c_a = coefficients(p_a, t).T
+        c_b = c_a if p_b == p_a else coefficients(p_b, t).T
+        chunk = prods[: len(_PAIR_A) * len(t)].reshape(-1, len(t))
+        np.multiply(c_a[_PAIR_A], c_b[_PAIR_B], out=chunk)
+        entries = []
+        for table, buf in zip(tables, images):
+            image = buf[: len(table) * len(t)].reshape(-1, len(t))
+            np.matmul(table, chunk.view(float), out=image.view(float))
+            entries.append(_checked_x_entries(image))
+        yield slice(start, start + len(t)), entries
 
 
 def propagate_pair(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, t: float) -> np.ndarray:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,12 @@ _ORACLE_SAFETY = 3.0
 MAX_RK4_STEPS = 2_000_000
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError naming `name` unless `value` is an integer, not a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integration plan.
@@ -71,7 +78,8 @@ class IntegratorConfig:
                  must resolve the fastest of the oscillation, memory and
                  relaxation timescales, in at most MAX_RK4_STEPS steps)
     t_end        finite final time; must be an integer number of steps away
-    record_every store every k-th step (t=0 is always stored)
+    record_every store every k-th step (t=0 is always stored); a positive
+                 integer that divides the step count
     """
 
     step: float
@@ -83,11 +91,16 @@ class IntegratorConfig:
             raise ValueError(f"step must be positive and finite, got {self.step}")
         if not 0.0 <= self.t_end < math.inf:
             raise ValueError(f"t_end must be non-negative and finite, got {self.t_end}")
-        if not self.record_every >= 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        _check_count("record_every", self.record_every, 1)
+        n = self.n_steps()
+        if n % self.record_every != 0:
+            raise ValueError(f"record_every {self.record_every} does not divide {n} steps")
 
     def n_steps(self) -> int:
-        n = int(round(self.t_end / self.step))
+        ratio = self.t_end / self.step
+        if ratio == math.inf:
+            raise ValueError(f"t_end {self.t_end} over step {self.step} overflows the step count")
+        n = int(round(ratio))
         if abs(n * self.step - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(
                 f"step {self.step} does not divide t_end {self.t_end} evenly"
@@ -123,10 +136,12 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
     The step divides the recording interval exactly and sits at least a
     factor 3 below the admissible bound, which keeps even the stiff
     presets well inside the tolerance the oracle comparisons use.
-    Raises ValueError when that plan exceeds MAX_RK4_STEPS.
+    Raises ValueError for a `t_end` outside (0, inf), fewer than 2 or a
+    non-integer number of `samples`, and a plan beyond MAX_RK4_STEPS.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    _check_count("samples", samples, 2)
     spacing = t_end / (samples - 1)
     bound = max_step(*params) / _ORACLE_SAFETY
     per_interval = max(1, math.ceil(spacing / bound - 1e-12))
@@ -397,8 +412,6 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     """
     n = cfg.n_steps()
     every = cfg.record_every
-    if n % every != 0:
-        raise ValueError(f"record_every {every} does not divide {n} steps")
     h = cfg.step
     d = rho0.shape[0]
     states = np.empty((n // every + 1, d, d), dtype=complex)
@@ -480,8 +493,10 @@ def gauss_legendre(f, a: float, b: float, panels: int) -> float:
     """Integral of f over [a, b] by the 8-point Gauss-Legendre rule on `panels` equal sub-panels.
 
     `f` maps an array of abscissae to an array of values. Exact through
-    degree 15 on each sub-panel; reversed limits flip the sign.
+    degree 15 on each sub-panel; reversed limits flip the sign. `panels`
+    must be a positive integer.
     """
+    _check_count("panels", panels, 1)
     nodes, weights = _gauss_rule()
     h = (b - a) / panels
     blocks = []

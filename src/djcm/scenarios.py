@@ -21,7 +21,7 @@ from typing import IO
 import numpy as np
 
 from .entanglement import concurrence, concurrence_x_entries
-from .evolution import min_eigenvalue, pair_x_entries, propagate_pairs, x_entry_chunks
+from .evolution import CHUNK_ROWS, min_eigenvalue, propagate_pairs, x_entry_chunks
 from .integrate import integrate_pair, integrate_single, oracle_config, rate_from_spectral_density
 from .propagator import (
     JcmParams,
@@ -38,7 +38,6 @@ __all__ = [
     "CSV_HEADER",
     "PRESET_NAMES",
     "MAX_SAMPLES",
-    "CHUNK_ROWS",
     "SWEEP_PRESETS",
     "SWEEP_PURITIES",
     "preset_config",
@@ -73,13 +72,6 @@ CSV_HEADER = ",".join(_column_names(TARGET_ORDER))
 # table of 8*(1 + k) bytes per sample for k targets, so this caps it at
 # 56 MB with all six.
 MAX_SAMPLES = 10**6
-
-# Time samples propagated, reduced and measured together. Large enough
-# that numpy, not the interpreter, does the work; small enough that the
-# (57, CHUNK_ROWS) coefficient products, the (CHUNK_ROWS, 9, 9) stacks of
-# the checking route and their temporaries stay well under a megabyte,
-# whatever the grid size.
-CHUNK_ROWS = 256
 
 # Most steps of the purity grid `transient_entanglement_threshold` scans.
 _MAX_PURITIES = 10**6
@@ -169,8 +161,7 @@ def evolve_concurrences(cfg: ScenarioConfig) -> np.ndarray:
     grid = time_grid(cfg)
     table = np.empty((cfg.samples, 1 + len(blocks)))
     table[:, 0] = grid
-    chunks = x_entry_chunks(cfg.params_a, cfg.params_b, [cfg.purity], grid, CHUNK_ROWS)
-    for rows, (x,) in chunks:
+    for rows, (x,) in x_entry_chunks(cfg.params_a, cfg.params_b, [cfg.purity], grid):
         table[rows, 1:] = concurrence_x_entries(x[:, blocks])
     return table
 
@@ -334,7 +325,8 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     times = time_grid(cfg)[rows]
     blocks = reduce_stack(propagate_pairs(pair0, cfg.params_a, cfg.params_b, times))
     spectral = concurrence(blocks)
-    kernel = concurrence_x_entries(pair_x_entries(cfg.params_a, cfg.params_b, cfg.purity, times))
+    chunks = x_entry_chunks(cfg.params_a, cfg.params_b, [cfg.purity], times)
+    kernel = np.concatenate([concurrence_x_entries(x) for _, (x,) in chunks])
     dev_routes = float(np.abs(kernel - spectral).max())
 
     report = {
@@ -462,8 +454,7 @@ def transient_entanglement_threshold(
     n = _purity_steps(dr)
     grid = time_grid(cfg)
     first, found = n + 1, None  # grid index and value of the smallest entangling purity so far
-    chunks = x_entry_chunks(cfg.params_a, cfg.params_b, [1.0, 0.0], grid, CHUNK_ROWS)
-    for _, (a, b) in chunks:
+    for _, (a, b) in x_entry_chunks(cfg.params_a, cfg.params_b, [1.0, 0.0], grid):
         a, b = a[:, target.block], b[:, target.block]
         for k in range(_scan_start(a, b, eps, dr, n, first), first):
             r = _purity(k, dr, n)

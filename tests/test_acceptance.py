@@ -57,7 +57,7 @@ from djcm.entanglement import (
     steady_pair_local,
     steady_pair_nonlocal,
 )
-from djcm.evolution import propagate_pair, propagate_pairs
+from djcm.evolution import CHUNK_ROWS, propagate_pair, propagate_pairs
 from djcm.integrate import (
     IntegratorConfig,
     integrate_pair,
@@ -72,7 +72,6 @@ from djcm.propagator import (
     integrated_rate_plus,
 )
 from djcm.scenarios import (
-    CHUNK_ROWS,
     TARGET_ORDER,
     ScenarioConfig,
     evolve_concurrences,

@@ -8,13 +8,15 @@ is the tensor product of the two single-partition maps.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from djcm import evolution
-from djcm.evolution import min_eigenvalue, propagate_pair, propagate_pairs
+from djcm.cli import main
+from djcm.evolution import min_eigenvalue, propagate_pair, propagate_pairs, x_entry_chunks
 from djcm.propagator import JcmParams, propagate_single
 from djcm.states import initial_state
 
@@ -189,3 +191,63 @@ def test_x_kernel_refuses_an_imaginary_entry(monkeypatch):
     monkeypatch.setattr(evolution, "_REDUCTION", evolution._REDUCTION * 1j)
     with pytest.raises(RuntimeError, match="not real; internal error"):
         evolution._x_kernel()
+
+
+def _broken_k1(defect: str) -> np.ndarray:
+    """_K1 with its trace column scaled by 1 + 1e-9, or one AB coherence (x_14) doubled."""
+    k1 = evolution._K1.copy()
+    if defect == "lost trace":
+        k1[:, -1] *= 1.0 + 1e-9
+    else:
+        k1[:, 4] *= 2.0
+    return k1
+
+
+@pytest.mark.parametrize("defect", ["lost trace", "broke Hermiticity"])
+def test_x_entry_chunks_guard_trips(monkeypatch, defect):
+    monkeypatch.setattr(evolution, "_K1", _broken_k1(defect))
+    with pytest.raises(RuntimeError, match=f"propagation {defect} .*; internal error"):
+        list(x_entry_chunks(P_MARKOV, P_MARKOV, [1.0], np.linspace(0.0, 2.0, 11)))
+
+
+@pytest.mark.parametrize("defect", ["lost trace", "broke Hermiticity"])
+def test_propagate_pairs_guard_trips(monkeypatch, defect):
+    # 1e-9 on one entry: past the 1e-12 trace bound on the diagonal, past
+    # the 1e-10 Hermiticity bound off it
+    pair_map = evolution._pair_map
+
+    def nudged(*args):
+        out = pair_map(*args)
+        out[:, 0, 0 if defect == "lost trace" else 1] += 1e-9
+        return out
+
+    monkeypatch.setattr(evolution, "_pair_map", nudged)
+    with pytest.raises(RuntimeError, match=f"propagation {defect} .*; internal error"):
+        propagate_pairs(initial_state(1.0), P_MARKOV, P_MARKOV, np.linspace(0.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("defect", ["lost trace", "broke Hermiticity"])
+def test_cli_evolve_exits_3_when_the_guard_trips(monkeypatch, capsys, defect):
+    monkeypatch.setattr(evolution, "_K1", _broken_k1(defect))
+    argv = ["evolve", "--omega", "1", "--lambda", "5", "--r", "1", "--tmax", "2", "--samples", "11"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and defect in captured.err
+
+
+def test_x_entry_chunks_memory_does_not_grow_with_the_grid():
+    # the buffers are allocated once per call and the chunks reuse them
+    peaks = []
+    for samples in (1_000, 200_000):
+        times = np.linspace(0.0, 15.0, samples)
+        tracemalloc.start()
+        try:
+            for _ in x_entry_chunks(P_MARKOV, P_MEMORY, [1.0, 0.0], times):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
+    assert max(peaks) < 1.5e6

@@ -72,6 +72,45 @@ def test_config_refuses_an_infinite_end():
         IntegratorConfig(step=0.1, t_end=math.inf)
 
 
+@pytest.mark.parametrize("every", [2.5, True, 0, -1])
+def test_config_refuses_a_record_every_that_is_not_a_positive_integer(every):
+    # 2.5 used to end in a TypeError inside the integrator
+    with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+        IntegratorConfig(step=0.001, t_end=0.01, record_every=every)
+
+
+def test_config_checks_at_construction_that_record_every_divides_the_steps():
+    assert IntegratorConfig(step=0.001, t_end=0.01, record_every=np.int64(5)).n_steps() == 10
+    with pytest.raises(ValueError, match="record_every 3 does not divide 10 steps"):
+        IntegratorConfig(step=0.001, t_end=0.01, record_every=3)
+
+
+def test_config_refuses_a_step_count_that_overflows():
+    with pytest.raises(ValueError, match="overflows the step count"):
+        IntegratorConfig(step=1e-300, t_end=1e10)
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0, 0.0])
+def test_oracle_config_refuses_an_end_outside_zero_to_infinity(t_end):
+    # inf used to raise OverflowError, NaN "cannot convert float NaN", and
+    # -1.0 an error that blamed the step
+    with pytest.raises(ValueError, match="t_end must be positive and finite"):
+        oracle_config(t_end, 11, P)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, 1])
+def test_oracle_config_refuses_a_sample_count_that_is_not_an_integer_of_at_least_2(samples):
+    with pytest.raises(ValueError, match="samples must be an integer >= 2"):
+        oracle_config(1.0, samples, P)
+
+
+@pytest.mark.parametrize("panels", [0, -1, 2.5, True])
+def test_gauss_legendre_refuses_panels_that_are_not_a_positive_integer(panels):
+    # 0 used to divide by zero, -1 to return 0.0, 2.5 to raise TypeError
+    with pytest.raises(ValueError, match="panels must be an integer >= 1"):
+        gauss_legendre(np.sin, 0.0, 1.0, panels)
+
+
 def test_direct_integration_refuses_plans_beyond_the_step_cap():
     # a caller that builds its own config, not through oracle_config, must
     # meet the same cap: 1e8 steps is refused before anything is allocated

@@ -1,8 +1,8 @@
 """Properties of the time-batched trajectory pipeline over random inputs.
 
 Production evaluates the X entries of all six reductions for a whole
-time grid straight from the partitions' coefficient vectors
-(`pair_x_entries`) and measures them with the Yu-Eberly closed form
+time grid straight from the partitions' coefficient vectors, chunk by
+chunk (`x_entry_chunks`), and measures them with the Yu-Eberly closed form
 (`concurrence_x_entries`). These properties tie that path to the 9x9
 route (`propagate_pairs`, `reduce_stack`) and to the one-time pipeline
 with the spectral concurrence, and check the structure every reduction
@@ -12,9 +12,8 @@ of this model has.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from djcm import evolution
 from djcm.entanglement import X_ENTRIES, concurrence, concurrence_x_entries
-from djcm.evolution import pair_x_entries, propagate_pair, propagate_pairs
+from djcm.evolution import propagate_pair, propagate_pairs, x_entry_chunks
 from djcm.propagator import JcmParams
 from djcm.states import ReductionTarget, initial_state, reduce_all, reduce_stack
 
@@ -40,8 +39,13 @@ _SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 _X_ROWS, _X_COLS = (list(axis) for axis in zip(*X_ENTRIES))
 
 
+def _x_entries(p_a, p_b, r, times):
+    """(T, 6, 8) X entries at purity r, joined over the chunks of `x_entry_chunks`."""
+    return np.concatenate([x.copy() for _, (x,) in x_entry_chunks(p_a, p_b, [r], times)])
+
+
 def _batched(p_a, p_b, r, times):
-    x = pair_x_entries(p_a, p_b, r, times)
+    x = _x_entries(p_a, p_b, r, times)
     blocks = np.zeros(x.shape[:-1] + (4, 4), dtype=complex)
     blocks[..., _X_ROWS, _X_COLS] = x
     return blocks, concurrence_x_entries(x)
@@ -53,11 +57,8 @@ def test_kernel_x_entries_match_the_reduced_9x9_stack(p_a, p_b, r, times):
     assume(p_a != p_b)  # so neither coefficient vector stands in for the other
     states = propagate_pairs(initial_state(r), p_a, p_b, times)
     blocks = reduce_stack(states)
-    assert np.abs(pair_x_entries(p_a, p_b, r, times) - blocks[..., _X_ROWS, _X_COLS]).max() <= 1e-12
+    assert np.abs(_x_entries(p_a, p_b, r, times) - blocks[..., _X_ROWS, _X_COLS]).max() <= 1e-12
     assert np.abs(blocks[..., ~_X]).max() <= 1e-12
-    kernel = evolution._purity_kernel(r)
-    [(_, (image,))] = evolution._kernel_chunks(p_a, p_b, times, [kernel], len(times))
-    assert np.abs(image[-1] - np.trace(states, axis1=1, axis2=2)).max() <= 1e-12
 
 
 @_SETTINGS

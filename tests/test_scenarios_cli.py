@@ -29,10 +29,9 @@ from djcm.entanglement import (
     concurrence_x_entries,
     concurrence_x_state,
 )
-from djcm.evolution import pair_x_entries, propagate_pair, propagate_pairs
+from djcm.evolution import CHUNK_ROWS, propagate_pair, propagate_pairs, x_entry_chunks
 from djcm.propagator import JcmParams, integrated_rate_minus, integrated_rate_plus
 from djcm.scenarios import (
-    CHUNK_ROWS,
     CSV_HEADER,
     MAX_SAMPLES,
     PRESET_NAMES,
@@ -368,10 +367,17 @@ def test_transient_threshold_none_when_uncoupled():
     assert found is None
 
 
+def _target_x_entries(p_a, p_b, grid, target):
+    """`target`'s (T, 8) X entries at r = 1 and r = 0, joined over the chunks of `x_entry_chunks`."""
+    chunks = x_entry_chunks(p_a, p_b, [1.0, 0.0], grid)
+    # copies: each chunk's arrays are overwritten by the next
+    pairs = [(a[:, target.block].copy(), b[:, target.block].copy()) for _, (a, b) in chunks]
+    return tuple(np.concatenate(side) for side in zip(*pairs))
+
+
 def _reference_threshold(cfg, target, dr, eps):
     """The plain scan: every grid purity from r = 0 up, over the whole time grid."""
-    grid = time_grid(cfg)
-    a, b = (pair_x_entries(cfg.params_a, cfg.params_b, r, grid)[:, target.block] for r in (1.0, 0.0))
+    a, b = _target_x_entries(cfg.params_a, cfg.params_b, time_grid(cfg), target)
     k = 0
     while True:
         r = min(k * dr, 1.0)
@@ -453,7 +459,7 @@ def test_transient_threshold_fallback_scan_gives_the_same_answer(monkeypatch):
 
 def test_transient_threshold_scans_from_zero_when_a_population_is_clipped():
     grid = time_grid(_small_cfg(samples=11))
-    a, b = (pair_x_entries(P, P, r, grid)[:, ReductionTarget.AB.block] for r in (1.0, 0.0))
+    a, b = _target_x_entries(P, P, grid, ReductionTarget.AB)
     n = scenarios._purity_steps(0.01)
     assert scenarios._scan_start(a, b, 1e-8, 0.01, n, n + 1) > 0
     # inside the eigenvalue band, so concurrence clips it to 0; at t = 0
@@ -479,7 +485,7 @@ def test_transient_threshold_scan_starts_at_most_one_step_below_the_onset():
     # leaves the eps test at most one step to walk
     cfg = dataclasses.replace(preset_config("fig4"), samples=301)
     grid = time_grid(cfg)[:CHUNK_ROWS]
-    a, b = (pair_x_entries(cfg.params_a, cfg.params_b, r, grid)[:, ReductionTarget.AB.block] for r in (1.0, 0.0))
+    a, b = _target_x_entries(cfg.params_a, cfg.params_b, grid, ReductionTarget.AB)
     for dr in (0.01, 0.001, 1e-4):
         n = scenarios._purity_steps(dr)
         onset = next(
