@@ -10,13 +10,17 @@ the tensor-product structure being validated. A generic graph step
 splits vec(rho) into the invariant blocks of the generator's sparsity
 pattern, and each step acts on every block through its classical RK4
 step matrix, built from the same three generator evaluations as the
-four stages. Blocks whose restricted ops are exactly equal, or exactly
-complex conjugate (a Hermiticity-preserving generator pairs them up),
-share one representative's step matrices, conjugated where needed. The
-step matrices exist a chunk at a time, and a chunk holds a fixed budget
-of representative entries rather than a fixed number of steps, so the
-3x3 oracle takes longer chunks than the pair and memory stays bounded
-either way.
+four stages. Channels that share their parameters and rate function
+are summed into one dissipator, so two equal partitions cost the
+generator three ops rather than five. Blocks whose restricted ops are
+exactly equal, or exactly complex conjugate (a Hermiticity-preserving
+generator pairs them up), share one representative's step matrices,
+conjugated where needed. The step matrices exist a chunk at a time, and
+a chunk holds a fixed budget of representative entries rather than a
+fixed number of steps, so the 3x3 oracle takes longer chunks than the
+pair and memory stays bounded either way. The 9x9 block's matrices are
+multiplied in time-major memory; 1x1 blocks advance a whole chunk in one
+cumulative product.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -151,10 +155,12 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
 
 
 # Most representative step-matrix entries that exist at once: 256 steps
-# of the pair, which holds 153 per step (one real 9x9, six 3x3 and
-# eighteen 1x1 representatives). A generator gets as many steps per chunk
-# as fit (`_chunk_steps`: 256 for the pair, 3264 for one partition's 12
-# entries per step). A chunk holds whole recording intervals when they
+# of a pair of distinct partitions, which holds 153 per step (one real
+# 9x9, six 3x3 and eighteen 1x1 representatives). A generator gets as
+# many steps per chunk as fit (`_chunk_steps`: 256 for that pair, 326 for
+# a pair of equal partitions, whose merged channels leave one 9x9, three
+# 3x3 and twelve 1x1 or 120 entries per step, and 3264 for one
+# partition's 12). A chunk holds whole recording intervals when they
 # are this short, and otherwise a piece of one interval, so memory stays
 # bounded (about 2 MB of temporaries) whatever the plan; the rates are
 # evaluated once per chunk.
@@ -225,7 +231,15 @@ class _BlockGroup:
         self.shape = (len(reps), m, m)
 
     def generators(self, w: np.ndarray) -> np.ndarray:
-        """(R, m, m, T) representatives' blocks of L(t) for the (T, 1 + C) weight rows `w`; time last."""
+        """(R, m, m, T) representatives' blocks of L(t) for the (T, 1 + C) weight rows `w`; time last.
+
+        Blocks above `_BROADCAST_MAX` come back as a view of time-major
+        memory, so every m x m matrix is contiguous for `_mul`'s
+        np.matmul; the step matrices and products computed from them keep
+        that memory order.
+        """
+        if self.shape[1] > _BROADCAST_MAX:
+            return (w @ self.cols.T).reshape(len(w), *self.shape).transpose(1, 2, 3, 0)
         return (self.cols @ w.T).reshape(*self.shape, len(w))
 
     def expand(self, stack: np.ndarray) -> np.ndarray:
@@ -245,23 +259,29 @@ class _Generator:
         L0  = -i (h kron 1 - 1 kron h^T)
         L_c = S_c kron S_c^* / 2 - (S_c^dag S_c kron 1 + 1 kron (S_c^dag S_c)^T) / 4.
 
-    `ops` stacks L0 and the L_c; `channels` holds each L_c's (params, rate).
-    `groups` splits the coordinates into the invariant blocks of the union
-    of the ops' sparsity patterns, grouped by block size: L(t) is block
-    diagonal there at every t, whatever the rates.
+    Channels with equal (params, rate) share one weight at every t, so
+    their L_c are summed into one op: rate(t) L_1 + rate(t) L_2 =
+    rate(t) (L_1 + L_2) for any generator, and a pair of equal partitions
+    needs two dissipators instead of four. `ops` stacks L0 and the summed
+    L_c; `channels` holds each one's (params, rate). `groups` splits the
+    coordinates into the invariant blocks of the union of the ops'
+    sparsity patterns, grouped by block size: L(t) is block diagonal
+    there at every t, whatever the rates.
     """
 
     def __init__(self, h: np.ndarray, channels) -> None:
         eye = np.eye(len(h))
-        ops = [-1j * (np.kron(h, eye) - np.kron(eye, h.T))]
-        for s, _, _ in channels:
+        dissipators = {}
+        for s, p, rate in channels:
             proj = s.conj().T @ s
-            ops.append(
-                0.5 * np.kron(s, s.conj()) - 0.25 * (np.kron(proj, eye) + np.kron(eye, proj.T))
-            )
+            op = 0.5 * np.kron(s, s.conj()) - 0.25 * (np.kron(proj, eye) + np.kron(eye, proj.T))
+            key = (p, rate)
+            dissipators[key] = dissipators[key] + op if key in dissipators else op
         self.dim = len(h) ** 2
-        self.ops = np.array(ops, dtype=complex)
-        self.channels = tuple((p, rate) for _, p, rate in channels)
+        self.ops = np.array(
+            [-1j * (np.kron(h, eye) - np.kron(eye, h.T)), *dissipators.values()], dtype=complex
+        )
+        self.channels = tuple(dissipators)
         blocks = _invariant_blocks((self.ops != 0).any(axis=0))
         sizes = sorted({len(b) for b in blocks}, reverse=True)
         self.groups = [_BlockGroup(self.ops, [b for b in blocks if len(b) == m]) for m in sizes]
@@ -313,7 +333,8 @@ def _pair_generator(p_a: JcmParams, p_b: JcmParams) -> _Generator:
 
 
 # Largest block whose products `_mul` sums by broadcasting; bigger blocks
-# go through np.matmul, which wins from 5x5 up on this kind of stack.
+# go through np.matmul on contiguous matrices, which wins from 5x5 up on
+# this kind of stack.
 _BROADCAST_MAX = 4
 
 
@@ -322,10 +343,14 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Small blocks sum over j by broadcasting, which keeps the long batch
     axes innermost; np.matmul's per-matrix loop would dominate there.
+    Larger ones are multiplied by np.matmul on a view with the matrix axes
+    last, which is contiguous when the stack's memory is time-major
+    (`_BlockGroup.generators`); the product keeps that memory order.
     """
     if a.shape[2] > _BROADCAST_MAX:
-        prod = np.moveaxis(a, (1, 2), (-2, -1)) @ np.moveaxis(b, (1, 2), (-2, -1))
-        return np.moveaxis(prod, (-2, -1), (1, 2))
+        lead = (0, *range(3, a.ndim), 1, 2)
+        back = (0, a.ndim - 2, a.ndim - 1, *range(1, a.ndim - 2))
+        return (a.transpose(lead) @ b.transpose(lead)).transpose(back)
     out = a[:, :, 0, None] * b[:, None, 0]
     term = np.empty_like(out)
     for j in range(1, a.shape[2]):
@@ -371,7 +396,8 @@ def _product(steps: np.ndarray) -> np.ndarray:
     while steps.shape[-1] > 1:
         paired = _mul(steps[..., 1::2], steps[..., 0:-1:2])
         if steps.shape[-1] % 2:  # the latest step waits for the next round
-            paired = np.concatenate([paired, steps[..., -1:]], axis=-1)
+            out = np.empty_like(steps[..., : paired.shape[-1] + 1])  # in the stack's memory order
+            paired = np.concatenate([paired, steps[..., -1:]], axis=-1, out=out)
         steps = paired
     return steps[..., 0]
 
@@ -408,7 +434,9 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     the products over each run of steps that ends at or before the next
     recording point (`_chunks`), expands those to every block
     (`_BlockGroup.expand`) and applies them to its part of vec(rho) in
-    order.
+    order: 1x1 blocks by one cumulative product over the chunk's runs,
+    larger ones run by run. The chunk's recorded values go into `states`
+    at once.
     """
     n = cfg.n_steps()
     every = cfg.record_every
@@ -416,26 +444,34 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     d = rho0.shape[0]
     states = np.empty((n // every + 1, d, d), dtype=complex)
     states[0] = rho0
+    flat = states.reshape(len(states), -1)
     parts = [rho0.reshape(-1)[g.idx] for g in gen.groups]
     for first, q, span in _chunks(n, every, _chunk_steps(gen)):
         w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
-        runs = [
-            g.expand(
+        ends = first + span * np.arange(1, q + 1)
+        recorded = ends % every == 0
+        rows = ends[recorded] // every
+        for k, g in enumerate(gen.groups):
+            run = g.expand(
                 _product(
                     _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(
                         *g.shape, q, span
                     )
                 )
             )
-            for g in gen.groups
-        ]
-        for j in range(q):
-            parts = [np.einsum("kij,kj->ki", run[..., j], part) for run, part in zip(runs, parts)]
-            end = first + (j + 1) * span
-            if end % every == 0:
-                flat = states[end // every].reshape(-1)
-                for g, part in zip(gen.groups, parts):
-                    flat[g.idx] = part
+            # 1x1 blocks: v, r0 v, r1 r0 v, ... in one call. A single run
+            # (q = 1) takes the loop instead: numpy multiplies a lone pair
+            # on a vectorized path that can round the last bit differently.
+            if g.shape[1] == 1 and q > 1:
+                seq = np.concatenate([parts[k], run[:, 0, 0]], axis=1)
+                after = np.multiply.accumulate(seq, axis=1)[:, 1:].T[..., None]
+            else:
+                after = np.empty((q, *parts[k].shape), dtype=complex)
+                part = parts[k]
+                for j in range(q):
+                    part = after[j] = np.einsum("kij,kj->ki", run[..., j], part)
+            parts[k] = after[-1]
+            flat[rows[:, None], g.idx.reshape(-1)] = after[recorded].reshape(len(rows), g.idx.size)
     times = np.arange(len(states)) * every * h
     traj = Trajectory(times=times, states=states, params=params)
     drift = float(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max())

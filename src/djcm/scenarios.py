@@ -73,6 +73,11 @@ CSV_HEADER = ",".join(_column_names(TARGET_ORDER))
 # 56 MB with all six.
 MAX_SAMPLES = 10**6
 
+# Most bytes of RK4 states `validation_report` may record: both oracles
+# keep one complex 9x9 and one 3x3 state per sample, 1440 bytes, so this
+# admits up to 46,603 samples (a preset's 1501 take 2.2 MB).
+_ORACLE_BYTES = 64 * 2**20
+
 # Most steps of the purity grid `transient_entanglement_threshold` scans.
 _MAX_PURITIES = 10**6
 
@@ -284,7 +289,18 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     form) and the spectral concurrence of the reduced 9x9 states, over
     all six pairs at up to 101 evenly spaced grid times. It is reported,
     not gated.
+
+    Raises ValueError, before anything is integrated, for a plan beyond
+    MAX_RK4_STEPS or for more samples than the RK4 states' byte budget
+    holds.
     """
+    per_sample = (81 + 9) * np.dtype(complex).itemsize
+    if cfg.samples * per_sample > _ORACLE_BYTES:
+        raise ValueError(
+            f"samples {cfg.samples} would record {cfg.samples * per_sample / 2**20:.0f} MiB of "
+            f"RK4 oracle states, more than the budget of {_ORACLE_BYTES // 2**20} MiB; validate "
+            f"at most {_ORACLE_BYTES // per_sample} samples"
+        )
     # single partition, all-entries state
     single0 = _uniform_single_state()
     cfg_single = oracle_config(cfg.t_max, cfg.samples, cfg.params_a)

@@ -234,8 +234,11 @@ def test_oracle_stays_independent_of_the_closed_form():
 
 
 # representative step-matrix entries per step: one real 9x9, six 3x3 and
-# eighteen 1x1 for the pair; one 3x3 and three 1x1 for one partition
+# eighteen 1x1 for a pair of distinct partitions; one 9x9, three 3x3 and
+# twelve 1x1 for an equal pair, whose channels merge; one 3x3 and three
+# 1x1 for one partition
 PAIR_ENTRIES = 81 + 6 * 9 + 18
+EQUAL_PAIR_ENTRIES = 81 + 3 * 9 + 12
 SINGLE_ENTRIES = 9 + 3
 
 
@@ -256,9 +259,12 @@ def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
 
 def test_the_entry_budget_sets_the_chunk_length():
     pair, single = integrate._pair_generator(P, P_MEMORY), integrate._single_generator(P)
+    equal = integrate._pair_generator(P, P)
     assert sum(math.prod(g.shape) for g in pair.groups) == PAIR_ENTRIES
+    assert sum(math.prod(g.shape) for g in equal.groups) == EQUAL_PAIR_ENTRIES
     assert sum(math.prod(g.shape) for g in single.groups) == SINGLE_ENTRIES
     assert integrate._chunk_steps(pair) == 256
+    assert integrate._chunk_steps(equal) == integrate._CHUNK_ENTRIES // EQUAL_PAIR_ENTRIES == 326
     assert integrate._chunk_steps(single) == 3264
 
 
@@ -278,11 +284,15 @@ def test_a_150_step_recording_interval_runs_whole(monkeypatch, oracle):
     monkeypatch.setattr(integrate, "_chunks", recorded)
     if oracle == "pair":
         integrate_pair(initial_state(1.0), P_STIFF, P_STIFF, cfg)
+        gen = integrate._pair_generator(P_STIFF, P_STIFF)
     else:
         integrate_single(_uniform3(), P_STIFF, cfg)
+        gen = integrate._single_generator(P_STIFF)
     assert {span for _, _, span in runs} == {150}
     assert sum(q for _, q, _ in runs) == 15
-    assert len(runs) == (15 if oracle == "pair" else 1)
+    # as many whole intervals per run as a chunk holds: 8 runs of at most
+    # two for the equal pair's 326-step chunks, one run for 3264 steps
+    assert len(runs) == math.ceil(15 / (integrate._chunk_steps(gen) // 150))
 
 
 def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
@@ -296,9 +306,15 @@ def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
     rho0, single0 = initial_state(cfg.purity), _uniform3()
     pair = integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states
     single = integrate_single(single0, cfg.params_a, single_cfg).states
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * PAIR_ENTRIES)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * EQUAL_PAIR_ENTRIES)
     assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
     monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * SINGLE_ENTRIES)
+    assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
+    # one interval per chunk: the 1x1 blocks then advance by the
+    # per-interval loop, not the cumulative product, to the same bits
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", pair_cfg.record_every * EQUAL_PAIR_ENTRIES)
+    assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", single_cfg.record_every * SINGLE_ENTRIES)
     assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
 
 
@@ -331,9 +347,10 @@ def _dense_generator():
     [
         (integrate._single_generator(P_MEMORY), [3] + [1] * 6, [1, 3]),
         (integrate._pair_generator(P, P_MEMORY), [9] + [3] * 12 + [1] * 36, [1, 6, 18]),
+        (integrate._pair_generator(P, P), [9] + [3] * 12 + [1] * 36, [1, 3, 12]),
         (_dense_generator(), [9], [1]),
     ],
-    ids=["single", "pair", "dense"],
+    ids=["single", "pair", "equal pair", "dense"],
 )
 def test_invariant_blocks_partition_the_coordinates_and_hold_every_op_entry(gen, sizes, reps):
     labels = _block_labels(gen)
@@ -399,23 +416,59 @@ def test_step_matrices_match_stagewise_rk4_on_a_distinct_pair():
 
 
 def test_shared_step_matrices_match_stagewise_rk4_on_a_non_hermitian_vector():
-    # blocks share conjugated step matrices; the vector they act on need
-    # not be Hermitian for that, so a generic complex matrix must agree too
+    # blocks share conjugated step matrices, and an equal pair also merges
+    # its channels; the vector they act on need not be Hermitian for
+    # either, so a generic complex matrix must agree too
     p_a = JcmParams(omega0=0.3, omega=1.0, gamma0=1.0, lam=0.05)
-    p_b = JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2)
-    cfg = oracle_config(3.0, 31, p_a, p_b)
     rho0 = _random_matrix(np.random.default_rng(17), 9)
     rho0 /= rho0.trace()
     assert np.abs(rho0 - rho0.conj().T).max() > 0.5
     eye = np.eye(3)
-    jumps_a, rates_a = _partition_channels(p_a, lambda m: np.kron(m, eye))
-    jumps_b, rates_b = _partition_channels(p_b, lambda m: np.kron(eye, m))
-    h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
-    expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
-    gen = integrate._pair_generator(p_a, p_b)
-    assert any(g.flip.any() for g in gen.groups)
-    got = integrate._run_rk4(rho0, gen, cfg, (p_a, p_b)).states
-    assert np.abs(got - expected).max() < 1e-13
+    for p_b, ops in ((JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2), 5), (p_a, 3)):
+        cfg = oracle_config(3.0, 31, p_a, p_b)
+        jumps_a, rates_a = _partition_channels(p_a, lambda m: np.kron(m, eye))
+        jumps_b, rates_b = _partition_channels(p_b, lambda m: np.kron(eye, m))
+        h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
+        expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
+        gen = integrate._pair_generator(p_a, p_b)
+        assert any(g.flip.any() for g in gen.groups)
+        assert len(gen.ops) == ops
+        got = integrate._run_rk4(rho0, gen, cfg, (p_a, p_b)).states
+        assert np.abs(got - expected).max() < 1e-13
+
+
+def test_merged_channels_give_the_states_of_four_on_fig2a():
+    # r(t) L1 + r(t) L2 = r(t) (L1 + L2): summing the equal pair's
+    # channels changes no bit of the trajectory. A callable of its own per
+    # channel keeps the four (params, rate) keys apart for the reference.
+    cfg = preset_config("fig2a")
+    p = cfg.params_a
+    assert cfg.params_b == p
+    eye = np.eye(3, dtype=complex)
+    s_plus, s_minus = integrate._jump_operators()
+
+    def own(rate):
+        return lambda q, t: rate(q, t)
+
+    unmerged = integrate._Generator(
+        np.kron(integrate._dressed_hamiltonian(p), eye) + np.kron(eye, integrate._dressed_hamiltonian(p)),
+        (
+            (np.kron(s_plus, eye), p, own(decay_rate_plus)),
+            (np.kron(s_minus, eye), p, own(decay_rate_minus)),
+            (np.kron(eye, s_plus), p, own(decay_rate_plus)),
+            (np.kron(eye, s_minus), p, own(decay_rate_minus)),
+        ),
+    )
+    merged = integrate._pair_generator(p, p)
+    assert (len(merged.ops), len(unmerged.ops)) == (3, 5)
+    assert [g.shape[0] for g in merged.groups] == [1, 3, 12]
+    assert [g.shape[0] for g in unmerged.groups] == [1, 6, 18]
+    pair_cfg = oracle_config(cfg.t_max, cfg.samples, p, p)
+    rho0 = initial_state(cfg.purity)
+    assert np.array_equal(
+        integrate._run_rk4(rho0, merged, pair_cfg, (p, p)).states,
+        integrate._run_rk4(rho0, unmerged, pair_cfg, (p, p)).states,
+    )
 
 
 def test_step_matrices_match_stagewise_rk4_while_the_upper_rate_is_negative():

@@ -731,6 +731,29 @@ def test_cli_validate_refuses_an_oversized_rk4_plan(monkeypatch, tmp_path, capsy
     assert f"cap of {integrate.MAX_RK4_STEPS}" in captured.err
 
 
+def test_cli_validate_refuses_more_samples_than_the_state_budget(monkeypatch, tmp_path, capsys):
+    # 10**6 samples of fig2a plan 999,999 RK4 steps, under the step cap,
+    # but would record about 1.3 GB of 9x9 states: refused as bad input
+    # before anything is integrated, while every preset stays admitted
+    def never(*args):
+        raise AssertionError("the oracle must not run")
+
+    monkeypatch.setattr(scenarios, "integrate_single", never)
+    monkeypatch.setattr(scenarios, "integrate_pair", never)
+    for name in PRESET_NAMES:
+        with pytest.raises(AssertionError, match="the oracle must not run"):
+            scenarios.validation_report(preset_config(name), name)
+    big = dataclasses.replace(preset_config("fig2a"), samples=MAX_SAMPLES)
+    assert integrate.oracle_config(big.t_max, big.samples, big.params_a).n_steps() < integrate.MAX_RK4_STEPS
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(big)), encoding="utf-8")
+    assert main(["validate", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: samples 1000000 ")
+    assert "budget of 64 MiB" in captured.err
+
+
 def test_cli_internal_error_exits_3(monkeypatch, tmp_path, capsys):
     # a tripped guard inside the program is neither bad input (2) nor a
     # failed validation (1)
@@ -892,9 +915,13 @@ def test_cli_exits_141_when_the_reader_closes_the_pipe(tmp_path):
 
 
 def test_cli_entry_point_installed():
+    # the child does not inherit pytest's `pythonpath` setting, so it is
+    # pointed at the package under test ahead of any PYTHONPATH it had
+    src = str(Path(djcm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "djcm.cli", "steady", "--which", "local"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["which"] == "local"
