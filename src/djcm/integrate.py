@@ -7,8 +7,11 @@ The generator is a superoperator on vec(rho), assembled once per call
 from the raw Hamiltonian and jump operators and weighted by the decay
 rates at the substep times; no reuse of the entry-wise coefficients or
 the tensor-product structure being validated. A generic graph step
-splits vec(rho) into the invariant blocks of the generator's sparsity
-pattern, and each step acts on every block through its classical RK4
+takes the coordinates of vec(rho) that the initial state can reach (its
+nonzero entries, closed under the generator's directed sparsity
+pattern; every other coordinate stays exactly 0 and is not integrated),
+splits them into the invariant blocks of the pattern restricted to
+them, and each step acts on every block through its classical RK4
 step matrix, built from the same three generator evaluations as the
 four stages. Channels that share their parameters and rate function
 are summed into one dissipator, so two equal partitions cost the
@@ -17,10 +20,10 @@ exactly equal, or exactly complex conjugate (a Hermiticity-preserving
 generator pairs them up), share one representative's step matrices,
 conjugated where needed. The step matrices exist a chunk at a time, and
 a chunk holds a fixed budget of representative entries rather than a
-fixed number of steps, so the 3x3 oracle takes longer chunks than the
-pair and memory stays bounded either way. The 9x9 block's matrices are
-multiplied in time-major memory; 1x1 blocks advance a whole chunk in one
-cumulative product.
+fixed number of steps, so a run that reaches fewer coordinates takes
+longer chunks and memory stays bounded either way. Blocks of 5x5 and up
+are multiplied in time-major memory; 1x1 blocks advance a whole chunk
+in one cumulative product.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -155,15 +158,19 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
 
 
 # Most representative step-matrix entries that exist at once: 256 steps
-# of a pair of distinct partitions, which holds 153 per step (one real
-# 9x9, six 3x3 and eighteen 1x1 representatives). A generator gets as
-# many steps per chunk as fit (`_chunk_steps`: 256 for that pair, 326 for
-# a pair of equal partitions, whose merged channels leave one 9x9, three
-# 3x3 and twelve 1x1 or 120 entries per step, and 3264 for one
-# partition's 12). A chunk holds whole recording intervals when they
-# are this short, and otherwise a piece of one interval, so memory stays
-# bounded (about 2 MB of temporaries) whatever the plan; the rates are
-# evaluated once per chunk.
+# of a pair of distinct partitions from a state that reaches every
+# coordinate, which holds 153 per step (one 9x9, six 3x3 and eighteen
+# 1x1 representatives). Entries per step are those of the block groups a
+# run integrates, so they depend on what the initial state reaches, and
+# a run gets as many steps per chunk as fit (`_chunk_steps`). Over every
+# coordinate: 256 for that pair, 326 for a pair of equal partitions (one
+# 9x9, three 3x3 and twelve 1x1, 120 entries) and 3264 for one
+# partition's 12. `initial_state(1)` of an equal pair reaches 17
+# coordinates, one 5x5 block and twelve 1x1 blocks over three
+# representatives, 28 entries: 1398 steps. A chunk holds whole recording
+# intervals when they are this short, and otherwise a piece of one
+# interval, so memory stays bounded (about 2 MB of temporaries) whatever
+# the plan; the rates are evaluated once per chunk.
 _CHUNK_ENTRIES = 256 * 153
 
 
@@ -263,10 +270,10 @@ class _Generator:
     their L_c are summed into one op: rate(t) L_1 + rate(t) L_2 =
     rate(t) (L_1 + L_2) for any generator, and a pair of equal partitions
     needs two dissipators instead of four. `ops` stacks L0 and the summed
-    L_c; `channels` holds each one's (params, rate). `groups` splits the
-    coordinates into the invariant blocks of the union of the ops'
-    sparsity patterns, grouped by block size: L(t) is block diagonal
-    there at every t, whatever the rates.
+    L_c; `channels` holds each one's (params, rate); `feeds` is the union
+    of the ops' sparsity patterns. `groups(support)` splits the
+    coordinates a support reaches into the invariant blocks of that
+    pattern, grouped by block size.
     """
 
     def __init__(self, h: np.ndarray, channels) -> None:
@@ -282,14 +289,33 @@ class _Generator:
             [-1j * (np.kron(h, eye) - np.kron(eye, h.T)), *dissipators.values()], dtype=complex
         )
         self.channels = tuple(dissipators)
-        blocks = _invariant_blocks((self.ops != 0).any(axis=0))
+        self.feeds = (self.ops != 0).any(axis=0)  # feeds[i, j]: coordinate j feeds coordinate i
+
+    def groups(self, support: np.ndarray) -> list[_BlockGroup]:
+        """Block groups, largest blocks first, of the coordinates the boolean mask `support` reaches.
+
+        The reached set closes `support` under the directed pattern
+        `feeds`, so no op maps a reached coordinate outside it: a state
+        that is 0 off `support` stays exactly 0 off the reached set. On
+        that set L(t) is block diagonal over the invariant blocks of the
+        restricted pattern at every t, whatever the rates. A full support
+        reaches every coordinate.
+        """
+        reached = support.copy()
+        frontier = reached
+        while frontier.any():
+            frontier = self.feeds[:, frontier].any(axis=1) & ~reached
+            reached |= frontier
+        coords = np.flatnonzero(reached)
+        blocks = [coords[b].tolist() for b in _invariant_blocks(self.feeds[np.ix_(coords, coords)])]
         sizes = sorted({len(b) for b in blocks}, reverse=True)
-        self.groups = [_BlockGroup(self.ops, [b for b in blocks if len(b) == m]) for m in sizes]
+        groups = [_BlockGroup(self.ops, [b for b in blocks if len(b) == m]) for m in sizes]
         inside = np.zeros((self.dim, self.dim), dtype=bool)
-        for g in self.groups:
+        for g in groups:
             inside[g.idx[:, :, None], g.idx[:, None, :]] = True
-        if self.ops[:, ~inside].any():
-            raise RuntimeError("a generator entry lies outside its invariant blocks")
+        if self.ops[:, :, reached][:, ~inside[:, reached]].any():
+            raise RuntimeError("a generator entry of a reached coordinate lies outside its invariant blocks")
+        return groups
 
     def weights(self, times: np.ndarray) -> np.ndarray:
         """(T, 1 + C) real weights of the stacked ops: 1, then each rate at each time."""
@@ -419,39 +445,42 @@ def _chunks(n: int, every: int, size: int):
                 yield first, 1, min(size, start + every - first)
 
 
-def _chunk_steps(gen: _Generator) -> int:
+def _chunk_steps(groups: list[_BlockGroup]) -> int:
     """RK4 steps per chunk: as many as `_CHUNK_ENTRIES` representative entries hold, at least 1."""
-    return max(1, _CHUNK_ENTRIES // sum(math.prod(g.shape) for g in gen.groups))
+    return max(1, _CHUNK_ENTRIES // sum(math.prod(g.shape) for g in groups))
 
 
 def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -> Trajectory:
     """Classical RK4 on vec(rho), one step matrix per step and invariant block.
 
-    A chunk holds `_chunk_steps(gen)` steps, so the presets' recording
-    intervals, at most 150 steps, run whole. Per chunk, the rates come
-    from the half-step grid j*h/2 in one call per channel. Each block
-    group forms the chunk's step matrices for its representatives, then
-    the products over each run of steps that ends at or before the next
-    recording point (`_chunks`), expands those to every block
-    (`_BlockGroup.expand`) and applies them to its part of vec(rho) in
-    order: 1x1 blocks by one cumulative product over the chunk's runs,
-    larger ones run by run. The chunk's recorded values go into `states`
-    at once.
+    Only the coordinates `rho0`'s nonzero entries reach are integrated
+    (`_Generator.groups`); every other coordinate of every recorded state
+    is exactly 0. A chunk holds `_chunk_steps(groups)` steps, so the
+    presets' recording intervals, at most 150 steps, run whole. Per
+    chunk, the rates come from the half-step grid j*h/2 in one call per
+    channel. Each block group forms the chunk's step matrices for its
+    representatives, then the products over each run of steps that ends
+    at or before the next recording point (`_chunks`), expands those to
+    every block (`_BlockGroup.expand`) and applies them to its part of
+    vec(rho) in order: 1x1 blocks by one cumulative product over the
+    chunk's runs, larger ones run by run. The chunk's recorded values go
+    into `states` at once.
     """
     n = cfg.n_steps()
     every = cfg.record_every
     h = cfg.step
     d = rho0.shape[0]
-    states = np.empty((n // every + 1, d, d), dtype=complex)
+    groups = gen.groups(rho0.reshape(-1) != 0)
+    states = np.zeros((n // every + 1, d, d), dtype=complex)
     states[0] = rho0
     flat = states.reshape(len(states), -1)
-    parts = [rho0.reshape(-1)[g.idx] for g in gen.groups]
-    for first, q, span in _chunks(n, every, _chunk_steps(gen)):
+    parts = [rho0.reshape(-1)[g.idx] for g in groups]
+    for first, q, span in _chunks(n, every, _chunk_steps(groups)):
         w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
         ends = first + span * np.arange(1, q + 1)
         recorded = ends % every == 0
         rows = ends[recorded] // every
-        for k, g in enumerate(gen.groups):
+        for k, g in enumerate(groups):
             run = g.expand(
                 _product(
                     _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(

@@ -64,6 +64,11 @@ class JcmParams:
     gamma0  reservoir relaxation rate at resonance
     lam     spectral width of the Lorentzian reservoir; the reservoir
             memory time is 1/lam
+
+    All four must be finite, gamma0 and lam positive and the others
+    non-negative; 4*omega^2 + lam^2 and lam*(4*omega^2 + lam^2) must be
+    normal floats, neither subnormal nor overflowing, and gamma0/lam
+    finite. A ValueError names the fields otherwise.
     """
 
     omega0: float
@@ -85,14 +90,18 @@ class JcmParams:
         if self.omega0 < 0.0:
             raise ValueError(f"omega0 must be non-negative, got {self.omega0}")
         # The rate formulas divide by lam, 4*omega^2 + lam^2 and their
-        # product, and scale by gamma0/lam: a zero or subnormal divisor or
-        # an infinite ratio turns the rates into inf or NaN.
+        # product, and scale by gamma0/lam: a zero, subnormal or infinite
+        # divisor or an infinite ratio turns the rates into inf or NaN.
         denom = 4.0 * self.omega * self.omega + self.lam * self.lam
         for name, divisor in (
             ("lam", self.lam),
             ("4*omega^2 + lam^2", denom),
             ("lam*(4*omega^2 + lam^2)", self.lam * denom),
         ):
+            if divisor == math.inf:
+                raise ValueError(
+                    f"omega={self.omega!r}, lam={self.lam!r}: the divisor {name} overflows to inf"
+                )
             if divisor < sys.float_info.min:
                 raise ValueError(
                     f"omega={self.omega!r}, lam={self.lam!r}: the divisor {name} "

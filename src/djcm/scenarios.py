@@ -84,7 +84,12 @@ _MAX_PURITIES = 10**6
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One fully specified run. Times are in units of 1/gamma0."""
+    """One fully specified run. Times are in units of 1/gamma0.
+
+    t_max must be positive and finite, and so must its product with each
+    partition's 2*omega, lam, gamma0 and omega0 + omega (which bounds
+    omega0 - omega); a ValueError names t_max otherwise.
+    """
 
     params_a: JcmParams
     params_b: JcmParams
@@ -99,6 +104,21 @@ class ScenarioConfig:
             raise ValueError(f"purity must lie in [0,1], got {self.purity}")
         if not 0.0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        # The rate and coefficient formulas multiply t by each partition's
+        # 2*omega, lam, gamma0 and omega0 +- omega; beyond the float range
+        # a product is inf, and sin and cos of inf are NaN. omega0 and
+        # omega are non-negative, so |omega0 - omega| <= omega0 + omega.
+        for name, p in (("params_a", self.params_a), ("params_b", self.params_b)):
+            for factor, value in (
+                ("2*omega", 2.0 * p.omega),
+                ("lam", p.lam),
+                ("gamma0", p.gamma0),
+                ("omega0 + omega", p.omega0 + p.omega),
+            ):
+                if value * self.t_max == math.inf:
+                    raise ValueError(
+                        f"t_max={self.t_max!r}: ({factor})*t_max of {name} overflows to inf"
+                    )
         if not 2 <= self.samples <= MAX_SAMPLES:
             raise ValueError(
                 f"samples must lie in [2, {MAX_SAMPLES}], got {self.samples}"

@@ -233,23 +233,39 @@ def test_oracle_stays_independent_of_the_closed_form():
     }
 
 
-# representative step-matrix entries per step: one real 9x9, six 3x3 and
-# eighteen 1x1 for a pair of distinct partitions; one 9x9, three 3x3 and
-# twelve 1x1 for an equal pair, whose channels merge; one 3x3 and three
-# 1x1 for one partition
+# representative step-matrix entries per step over every coordinate: one
+# 9x9, six 3x3 and eighteen 1x1 for a pair of distinct partitions; one
+# 9x9, three 3x3 and twelve 1x1 for an equal pair, whose channels merge;
+# one 3x3 and three 1x1 for one partition. initial_state(1) of an equal
+# pair reaches one 5x5 block and three 1x1 representatives.
 PAIR_ENTRIES = 81 + 6 * 9 + 18
 EQUAL_PAIR_ENTRIES = 81 + 3 * 9 + 12
 SINGLE_ENTRIES = 9 + 3
+REACHED_PURE_PAIR_ENTRIES = 25 + 3
+
+
+def _every_coordinate(gen) -> np.ndarray:
+    return np.ones(gen.dim, dtype=bool)
+
+
+def _support(rho0: np.ndarray) -> np.ndarray:
+    return rho0.reshape(-1) != 0
+
+
+def _entries(groups) -> int:
+    """Representative step-matrix entries per step of the block groups a run integrates."""
+    return sum(math.prod(g.shape) for g in groups)
 
 
 def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
     cfg = oracle_config(1.0, 11, P, P_MEMORY)
     assert cfg.n_steps() > 100 and cfg.record_every > 1
     rho0 = initial_state(0.7)
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", cfg.n_steps() * PAIR_ENTRIES)  # one chunk
+    entries = _entries(integrate._pair_generator(P, P_MEMORY).groups(_support(rho0)))
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", cfg.n_steps() * entries)  # one chunk
     whole = integrate_pair(rho0, P, P_MEMORY, cfg)
     # 7 steps, which divides neither n nor record_every
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 7 * PAIR_ENTRIES)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 7 * entries)
     chunked = integrate_pair(rho0, P, P_MEMORY, cfg)
     assert np.array_equal(chunked.times, whole.times)
     assert len(chunked) == 11
@@ -260,12 +276,19 @@ def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
 def test_the_entry_budget_sets_the_chunk_length():
     pair, single = integrate._pair_generator(P, P_MEMORY), integrate._single_generator(P)
     equal = integrate._pair_generator(P, P)
-    assert sum(math.prod(g.shape) for g in pair.groups) == PAIR_ENTRIES
-    assert sum(math.prod(g.shape) for g in equal.groups) == EQUAL_PAIR_ENTRIES
-    assert sum(math.prod(g.shape) for g in single.groups) == SINGLE_ENTRIES
-    assert integrate._chunk_steps(pair) == 256
-    assert integrate._chunk_steps(equal) == integrate._CHUNK_ENTRIES // EQUAL_PAIR_ENTRIES == 326
-    assert integrate._chunk_steps(single) == 3264
+    # a state with no zero entry reaches every coordinate
+    pair_groups = pair.groups(_support(_random_matrix(np.random.default_rng(2), 9)))
+    equal_groups = equal.groups(_every_coordinate(equal))
+    single_groups = single.groups(_support(_uniform3()))
+    reached = equal.groups(_support(initial_state(1.0)))
+    assert _entries(pair_groups) == PAIR_ENTRIES
+    assert _entries(equal_groups) == EQUAL_PAIR_ENTRIES
+    assert _entries(single_groups) == SINGLE_ENTRIES
+    assert _entries(reached) == REACHED_PURE_PAIR_ENTRIES
+    assert integrate._chunk_steps(pair_groups) == 256
+    assert integrate._chunk_steps(equal_groups) == integrate._CHUNK_ENTRIES // EQUAL_PAIR_ENTRIES == 326
+    assert integrate._chunk_steps(single_groups) == 3264
+    assert integrate._chunk_steps(reached) == integrate._CHUNK_ENTRIES // REACHED_PURE_PAIR_ENTRIES == 1398
 
 
 @pytest.mark.parametrize("oracle", ["pair", "single"])
@@ -283,16 +306,21 @@ def test_a_150_step_recording_interval_runs_whole(monkeypatch, oracle):
     chunks = integrate._chunks
     monkeypatch.setattr(integrate, "_chunks", recorded)
     if oracle == "pair":
-        integrate_pair(initial_state(1.0), P_STIFF, P_STIFF, cfg)
+        rho0 = initial_state(1.0)
+        integrate_pair(rho0, P_STIFF, P_STIFF, cfg)
         gen = integrate._pair_generator(P_STIFF, P_STIFF)
     else:
-        integrate_single(_uniform3(), P_STIFF, cfg)
+        rho0 = _uniform3()
+        integrate_single(rho0, P_STIFF, cfg)
         gen = integrate._single_generator(P_STIFF)
     assert {span for _, _, span in runs} == {150}
     assert sum(q for _, q, _ in runs) == 15
-    # as many whole intervals per run as a chunk holds: 8 runs of at most
-    # two for the equal pair's 326-step chunks, one run for 3264 steps
-    assert len(runs) == math.ceil(15 / (integrate._chunk_steps(gen) // 150))
+    # as many whole intervals per run as the chunk of the groups the run
+    # integrates holds: two runs of at most nine for the reached pair's
+    # 1398-step chunks, one run for the single partition's 3264 steps
+    steps = integrate._chunk_steps(gen.groups(_support(rho0)))
+    assert steps == {"pair": 1398, "single": 3264}[oracle]
+    assert len(runs) == math.ceil(15 / (steps // 150)) == {"pair": 2, "single": 1}[oracle]
 
 
 def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
@@ -304,25 +332,40 @@ def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
     single_cfg = oracle_config(cfg.t_max, cfg.samples, cfg.params_a)
     assert max(pair_cfg.record_every, single_cfg.record_every) <= 128
     rho0, single0 = initial_state(cfg.purity), _uniform3()
+    # the entries per step of the groups each run integrates
+    pair_entries = _entries(integrate._pair_generator(cfg.params_a, cfg.params_b).groups(_support(rho0)))
+    single_entries = _entries(integrate._single_generator(cfg.params_a).groups(_support(single0)))
+    assert (pair_entries, single_entries) == (REACHED_PURE_PAIR_ENTRIES, SINGLE_ENTRIES)
+    steps = []
+
+    def recorded(n, every, size):
+        steps.append(size)
+        return chunks(n, every, size)
+
+    chunks = integrate._chunks
+    monkeypatch.setattr(integrate, "_chunks", recorded)
     pair = integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states
     single = integrate_single(single0, cfg.params_a, single_cfg).states
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * EQUAL_PAIR_ENTRIES)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * pair_entries)
     assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * SINGLE_ENTRIES)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * single_entries)
     assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
     # one interval per chunk: the 1x1 blocks then advance by the
     # per-interval loop, not the cumulative product, to the same bits
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", pair_cfg.record_every * EQUAL_PAIR_ENTRIES)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", pair_cfg.record_every * pair_entries)
     assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", single_cfg.record_every * SINGLE_ENTRIES)
+    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", single_cfg.record_every * single_entries)
     assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
+    # the budgets meant what they say: the budget's chunks, then 128 steps,
+    # then one interval, for each oracle
+    assert steps == [1398, 3264, 128, 128, pair_cfg.record_every, single_cfg.record_every]
 
 
 def _block_labels(gen) -> np.ndarray:
     """Block number of every vec(rho) coordinate; each coordinate in exactly one block."""
     labels = np.full(gen.dim, -1)
     count = 0
-    for group in gen.groups:
+    for group in gen.groups(_every_coordinate(gen)):
         for block in group.idx:
             assert (labels[block] == -1).all()
             labels[block] = count
@@ -354,14 +397,15 @@ def _dense_generator():
 )
 def test_invariant_blocks_partition_the_coordinates_and_hold_every_op_entry(gen, sizes, reps):
     labels = _block_labels(gen)
-    assert sorted((len(b) for g in gen.groups for b in g.idx), reverse=True) == sizes
+    groups = gen.groups(_every_coordinate(gen))
+    assert sorted((len(b) for g in groups for b in g.idx), reverse=True) == sizes
     rows, cols = np.nonzero(np.abs(gen.ops).sum(axis=0))
     assert (labels[rows] == labels[cols]).all()
     # a Hermiticity-preserving generator pairs blocks up as complex conjugates
-    assert [g.shape[0] for g in gen.groups] == reps
+    assert [g.shape[0] for g in groups] == reps
     # every block's op entries are the ops restricted to it: its
     # representative's entries, conjugated where the block is flagged
-    for g in gen.groups:
+    for g in groups:
         sub = gen.ops[:, g.idx[:, :, None], g.idx[:, None, :]]
         own = g.cols.T.reshape(len(gen.ops), *g.shape)[:, g.rep]
         own[:, g.flip] = own[:, g.flip].conj()
@@ -431,7 +475,7 @@ def test_shared_step_matrices_match_stagewise_rk4_on_a_non_hermitian_vector():
         h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
         expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
         gen = integrate._pair_generator(p_a, p_b)
-        assert any(g.flip.any() for g in gen.groups)
+        assert any(g.flip.any() for g in gen.groups(_support(rho0)))
         assert len(gen.ops) == ops
         got = integrate._run_rk4(rho0, gen, cfg, (p_a, p_b)).states
         assert np.abs(got - expected).max() < 1e-13
@@ -461,14 +505,90 @@ def test_merged_channels_give_the_states_of_four_on_fig2a():
     )
     merged = integrate._pair_generator(p, p)
     assert (len(merged.ops), len(unmerged.ops)) == (3, 5)
-    assert [g.shape[0] for g in merged.groups] == [1, 3, 12]
-    assert [g.shape[0] for g in unmerged.groups] == [1, 6, 18]
+    assert [g.shape[0] for g in merged.groups(_every_coordinate(merged))] == [1, 3, 12]
+    assert [g.shape[0] for g in unmerged.groups(_every_coordinate(unmerged))] == [1, 6, 18]
     pair_cfg = oracle_config(cfg.t_max, cfg.samples, p, p)
     rho0 = initial_state(cfg.purity)
     assert np.array_equal(
         integrate._run_rk4(rho0, merged, pair_cfg, (p, p)).states,
         integrate._run_rk4(rho0, unmerged, pair_cfg, (p, p)).states,
     )
+
+
+def _over_every_coordinate(monkeypatch, gen):
+    """`gen`, made to integrate every coordinate whatever the initial state."""
+    groups = gen.groups(_every_coordinate(gen))
+    monkeypatch.setattr(gen, "groups", lambda support: groups)
+    return gen
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_reached_run_gives_the_states_of_a_run_over_every_coordinate(monkeypatch, name):
+    # the preset's step and recording interval over a tenth of its window
+    cfg = preset_config(name)
+    p_a, p_b = cfg.params_a, cfg.params_b
+    pair_cfg = oracle_config(cfg.t_max / 10.0, 151, p_a, p_b)
+    assert pair_cfg.record_every == oracle_config(cfg.t_max, cfg.samples, p_a, p_b).record_every
+    full = _over_every_coordinate(monkeypatch, integrate._pair_generator(p_a, p_b))
+    for r in (0.0, 0.5, 1.0):
+        rho0 = initial_state(r)
+        reached = integrate._run_rk4(rho0, integrate._pair_generator(p_a, p_b), pair_cfg, (p_a, p_b))
+        assert np.array_equal(reached.states, integrate._run_rk4(rho0, full, pair_cfg, (p_a, p_b)).states)
+    # the uniform single state reaches all 9 coordinates: the same groups
+    single0 = _uniform3()
+    single_cfg = oracle_config(cfg.t_max / 10.0, 151, p_a)
+    gen = integrate._single_generator(p_a)
+    assert [g.idx.tolist() for g in gen.groups(_support(single0))] == [
+        g.idx.tolist() for g in gen.groups(_every_coordinate(gen))
+    ]
+    full = _over_every_coordinate(monkeypatch, integrate._single_generator(p_a))
+    assert np.array_equal(
+        integrate._run_rk4(single0, gen, single_cfg, (p_a,)).states,
+        integrate._run_rk4(single0, full, single_cfg, (p_a,)).states,
+    )
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_the_reached_set_is_closed_and_everything_outside_it_stays_zero(r):
+    p_b = JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2)
+    rho0 = initial_state(r)
+    gen = integrate._pair_generator(P_MEMORY, p_b)
+    reached = np.zeros(gen.dim, dtype=bool)
+    for g in gen.groups(_support(rho0)):
+        assert not reached[g.idx].any()
+        reached[g.idx] = True
+    assert reached[_support(rho0)].all()
+    assert reached.sum() < gen.dim
+    # no op entry maps a reached coordinate outside the set
+    assert not gen.ops[:, ~reached][:, :, reached].any()
+    traj = integrate_pair(rho0, P_MEMORY, p_b, oracle_config(3.0, 31, P_MEMORY, p_b))
+    outside = traj.states.reshape(len(traj), -1)[:, ~reached]
+    assert (outside == 0).all()
+
+
+def test_the_ground_state_reaches_only_itself_and_stays_fixed():
+    # reach follows the direction of the generator: gg feeds nothing, while
+    # a reversed closure would take in every coordinate that feeds gg
+    gen = integrate._pair_generator(P, P_MEMORY)
+    ground = np.zeros((9, 9), dtype=complex)
+    ground[8, 8] = 1.0
+    gg = 8 * 9 + 8
+    assert gen.feeds[gg].sum() > 1
+    groups = gen.groups(_support(ground))
+    assert [g.idx.tolist() for g in groups] == [[[gg]]]
+    traj = integrate_pair(ground, P, P_MEMORY, oracle_config(3.0, 31, P, P_MEMORY))
+    assert np.array_equal(traj.states, np.broadcast_to(ground, traj.states.shape))
+
+
+def test_fig2a_integrates_one_5x5_block_and_twelve_scalars():
+    # initial_state(1) sits in the one-excitation sector, which decays only
+    # to the ground level: 17 of the 81 coordinates, one real 5x5 block and
+    # twelve 1x1 blocks over three representatives
+    cfg = preset_config("fig2a")
+    groups = integrate._pair_generator(cfg.params_a, cfg.params_b).groups(_support(initial_state(cfg.purity)))
+    assert [g.idx.shape for g in groups] == [(1, 5), (12, 1)]
+    assert [g.shape for g in groups] == [(1, 5, 5), (3, 1, 1)]
+    assert groups[0].cols.dtype == np.float64
 
 
 def test_step_matrices_match_stagewise_rk4_while_the_upper_rate_is_negative():

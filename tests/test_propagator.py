@@ -55,6 +55,9 @@ def test_params_validation():
         (0.0, 1.0, 1e-160, "divisor 4*omega^2 + lam^2 ="),
         (0.0, 1.0, 1e-110, "divisor lam*(4*omega^2 + lam^2) ="),
         (1.0, 1e10, 1e-300, "gamma0/lam is infinite"),
+        (1e154, 1.0, 1e154, "divisor 4*omega^2 + lam^2 overflows to inf"),
+        (0.0, 1.0, 1e200, "divisor 4*omega^2 + lam^2 overflows to inf"),
+        (1e150, 1.0, 1e150, "divisor lam*(4*omega^2 + lam^2) overflows to inf"),
     ):
         with pytest.raises(ValueError, match=re.escape(culprit)):
             JcmParams(omega0=0.0, omega=omega, gamma0=gamma0, lam=lam)

@@ -11,9 +11,11 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,28 @@ def test_scenario_config_validation():
         _small_cfg(output="yaml")
     with pytest.raises(ValueError):
         _small_cfg(targets=())
+
+
+@pytest.mark.parametrize("side", ["params_a", "params_b"])
+@pytest.mark.parametrize(
+    "params, t_max, factor",
+    [
+        (dict(omega=1.0, lam=5.0), 1e308, "(2*omega)*t_max"),
+        (dict(omega=0.0, lam=5.0), 1e308, "(lam)*t_max"),
+        (dict(omega=0.0, lam=1.0, gamma0=10.0), 1e308, "(gamma0)*t_max"),
+        (dict(omega=0.0, lam=1.0, omega0=1e300), 1e10, "(omega0 + omega)*t_max"),
+    ],
+)
+def test_scenario_config_refuses_a_t_max_whose_products_overflow(side, params, t_max, factor):
+    # each product of t with a rate or frequency must stay finite, on
+    # either partition; the other partition's products all stay finite at
+    # 1e308, and 1e10 times shorter the same config is accepted
+    benign = {"params_a": JcmParams(omega0=0.0, omega=0.0, gamma0=1.0, lam=1.0)}
+    benign["params_b"] = benign["params_a"]
+    p = JcmParams(**{"omega0": 0.0, "gamma0": 1.0, **params})
+    with pytest.raises(ValueError, match=re.escape(f"t_max={t_max!r}: {factor} of {side} overflows")):
+        _small_cfg(**{**benign, side: p}, samples=3, t_max=t_max)
+    assert _small_cfg(**{**benign, side: p}, samples=3, t_max=t_max / 1e10).t_max == t_max / 1e10
 
 
 def test_config_dict_round_trip():
@@ -649,6 +673,31 @@ def test_cli_evolve_rejects_out_of_range_numbers(capsys, flag, value, field):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert field in captured.err
+
+
+def _rejects_without_warning(capsys, argv, fields):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert all(field in captured.err for field in fields)
+
+
+def test_cli_evolve_rejects_a_coupling_whose_divisor_overflows(capsys):
+    # 4 omega^2 + lam^2 overflows to inf, which used to pass the divisor
+    # check and end as "propagation lost trace (nan); internal error", exit 3
+    argv = ["evolve", "--omega", "1e154", "--lambda", "1e154", "--r", "1", "--tmax", "1", "--samples", "3"]
+    _rejects_without_warning(capsys, argv, ["omega=", "lam=", "overflows"])
+
+
+def test_cli_evolve_rejects_a_t_max_whose_phase_overflows(capsys):
+    # 2 omega t_max overflows inside sin; it used to exit 3 after warnings
+    argv = ["evolve", "--omega", "1", "--lambda", "5", "--r", "1", "--tmax", "1e308", "--samples", "3"]
+    _rejects_without_warning(capsys, argv, ["t_max=", "2*omega"])
 
 
 def test_cli_evolve_tiny_lambda_is_the_memoryless_limit(capsys):
