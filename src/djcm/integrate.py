@@ -6,24 +6,25 @@ equation with a hand-written fixed-step fourth-order Runge-Kutta scheme.
 The generator is a superoperator on vec(rho), assembled once per call
 from the raw Hamiltonian and jump operators and weighted by the decay
 rates at the substep times; no reuse of the entry-wise coefficients or
-the tensor-product structure being validated. A generic graph step
-takes the coordinates of vec(rho) that the initial state can reach (its
-nonzero entries, closed under the generator's directed sparsity
-pattern; every other coordinate stays exactly 0 and is not integrated),
-splits them into the invariant blocks of the pattern restricted to
-them, and each step acts on every block through its classical RK4
-step matrix, built from the same three generator evaluations as the
-four stages. Channels that share their parameters and rate function
-are summed into one dissipator, so two equal partitions cost the
-generator three ops rather than five. Blocks whose restricted ops are
-exactly equal, or exactly complex conjugate (a Hermiticity-preserving
-generator pairs them up), share one representative's step matrices,
-conjugated where needed. The step matrices exist a chunk at a time, and
-a chunk holds a fixed budget of representative entries rather than a
-fixed number of steps, so a run that reaches fewer coordinates takes
-longer chunks and memory stays bounded either way. Blocks of 5x5 and up
-are multiplied in time-major memory; 1x1 blocks advance a whole chunk
-in one cumulative product.
+the tensor-product structure being validated. RK4 integrates only the
+real dissipative part, in the frame of the diagonal free Hamiltonian;
+each recorded coordinate then takes its exact phase, so no step has to
+resolve omega0. A generic graph step takes the coordinates of vec(rho)
+that the initial state can reach (its nonzero entries, closed under the
+generator's directed sparsity pattern; every other coordinate stays
+exactly 0 and is not integrated), splits them into the invariant blocks
+of the pattern restricted to them, and each step acts on every block
+through its classical RK4 step matrix, built from the same three
+generator evaluations as the four stages. Channels that share their parameters
+and rate function are summed into one dissipator, so two equal
+partitions cost the generator two ops rather than four. Blocks whose
+restricted ops are exactly equal share one representative's step
+matrices. The step matrices exist a chunk at a time, and a chunk holds
+a fixed budget of representative entries rather than a fixed number of
+steps, so a run that reaches fewer coordinates takes longer chunks and
+memory stays bounded either way. Blocks of 5x5 and up are multiplied in
+time-major memory; 1x1 blocks advance a whole chunk in one cumulative
+product.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -121,7 +122,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), d, d)
-    params: tuple[JcmParams, ...]
 
     def __len__(self) -> int:
         return len(self.times)
@@ -157,21 +157,20 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
     return cfg
 
 
-# Most representative step-matrix entries that exist at once: 256 steps
-# of a pair of distinct partitions from a state that reaches every
-# coordinate, which holds 153 per step (one 9x9, six 3x3 and eighteen
-# 1x1 representatives). Entries per step are those of the block groups a
-# run integrates, so they depend on what the initial state reaches, and
-# a run gets as many steps per chunk as fit (`_chunk_steps`). Over every
-# coordinate: 256 for that pair, 326 for a pair of equal partitions (one
-# 9x9, three 3x3 and twelve 1x1, 120 entries) and 3264 for one
-# partition's 12. `initial_state(1)` of an equal pair reaches 17
-# coordinates, one 5x5 block and twelve 1x1 blocks over three
-# representatives, 28 entries: 1398 steps. A chunk holds whole recording
-# intervals when they are this short, and otherwise a piece of one
-# interval, so memory stays bounded (about 2 MB of temporaries) whatever
-# the plan; the rates are evaluated once per chunk.
-_CHUNK_ENTRIES = 256 * 153
+# Most representative step-matrix entries (float64) that exist at once.
+# Entries per step are those of the block groups a run integrates, so
+# they depend on what the initial state reaches, and a run gets as many
+# steps per chunk as fit (`_chunk_steps`). Over every coordinate: 272
+# steps for a pair of distinct partitions (one 9x9, six 3x3 and nine 1x1
+# representatives, 144 entries), 343 for a pair of equal partitions (one
+# 9x9, three 3x3 and six 1x1, 114 entries) and 3264 for one partition's
+# 12. `initial_state(1)` of an equal pair reaches 17 coordinates, one
+# 5x5 block and twelve 1x1 blocks over three representatives, 28
+# entries: 1398 steps. A chunk holds whole recording intervals when they
+# are this short, and otherwise a piece of one interval, so memory stays
+# bounded (about 1 MB of temporaries) whatever the plan; the rates are
+# evaluated once per chunk.
+_CHUNK_ENTRIES = 39_168
 
 
 def _dressed_hamiltonian(p: JcmParams) -> np.ndarray:
@@ -180,9 +179,9 @@ def _dressed_hamiltonian(p: JcmParams) -> np.ndarray:
 
 def _jump_operators() -> tuple[np.ndarray, np.ndarray]:
     """|0g><+| and |0g><-|: decay of each dressed level to the ground level."""
-    s_plus = np.zeros((3, 3), dtype=complex)
+    s_plus = np.zeros((3, 3))
     s_plus[2, 0] = 1.0
-    s_minus = np.zeros((3, 3), dtype=complex)
+    s_minus = np.zeros((3, 3))
     s_minus[2, 1] = 1.0
     return s_plus, s_minus
 
@@ -210,35 +209,27 @@ def _invariant_blocks(pattern: np.ndarray) -> list[list[int]]:
 
 
 class _BlockGroup:
-    """K invariant blocks of one size m: the generator restricted to each.
+    """K invariant blocks of one size m: the dissipators restricted to each.
 
     `idx` (K, m) holds each block's coordinates in vec(rho). Blocks whose
-    restricted op stacks are exactly equal, or exactly equal after complex
-    conjugation, share a representative: the first block of their class.
-    `rep` (K,) is each block's position among the R representatives and
-    `flip` (K,) marks the conjugated ones. `cols` (R*m*m, 1 + C) holds the
-    representatives' op entries, real when none of them has an imaginary
-    part. With real weights, a flagged block's L(t), step matrices and
-    their products are the exact complex conjugates of its
-    representative's.
+    restricted op stacks are exactly equal share a representative: the
+    first block of their class. `rep` (K,) is each block's position among
+    the R representatives, and `cols` (R*m*m, C) holds the
+    representatives' op entries.
     """
 
     def __init__(self, ops: np.ndarray, blocks: list[list[int]]) -> None:
         self.idx = np.array(blocks)
         k, m = self.idx.shape
-        sub = ops[:, self.idx[:, :, None], self.idx[:, None, :]]  # (1 + C, K, m, m)
+        sub = ops[:, self.idx[:, :, None], self.idx[:, None, :]]  # (C, K, m, m)
         flat = np.moveaxis(sub, 1, 0).reshape(k, -1)  # each block's op stack
-        same = (flat[:, None] == flat).all(axis=2)
-        mirror = (flat[:, None] == flat.conj()).all(axis=2)
-        first = (same | mirror).argmax(axis=1)  # the earliest block of each class
+        first = (flat[:, None] == flat).all(axis=2).argmax(axis=1)  # the earliest equal block
         reps, self.rep = np.unique(first, return_inverse=True)
-        self.flip = ~same[np.arange(k), first]
-        sub = sub[:, reps].reshape(len(ops), -1)
-        self.cols = np.ascontiguousarray((sub if sub.imag.any() else sub.real).T)
+        self.cols = np.ascontiguousarray(sub[:, reps].reshape(len(ops), -1).T)
         self.shape = (len(reps), m, m)
 
     def generators(self, w: np.ndarray) -> np.ndarray:
-        """(R, m, m, T) representatives' blocks of L(t) for the (T, 1 + C) weight rows `w`; time last.
+        """(R, m, m, T) representatives' blocks of L(t) for the (T, C) weight rows `w`; time last.
 
         Blocks above `_BROADCAST_MAX` come back as a view of time-major
         memory, so every m x m matrix is contiguous for `_mul`'s
@@ -249,34 +240,41 @@ class _BlockGroup:
             return (w @ self.cols.T).reshape(len(w), *self.shape).transpose(1, 2, 3, 0)
         return (self.cols @ w.T).reshape(*self.shape, len(w))
 
-    def expand(self, stack: np.ndarray) -> np.ndarray:
-        """(K, ...) per-block stack from the representatives' (R, ...) stack."""
-        out = stack[self.rep]
-        out[self.flip] = out[self.flip].conj()
-        return out
-
 
 class _Generator:
-    """The master equation as a superoperator on the row-major vec(rho).
+    """The master equation as a superoperator on the row-major vec(rho), in the frame of h.
 
     drho/dt = -i[h, rho] + sum_c rate_c(t) (S_c rho S_c^dag / 2 - {S_c^dag S_c, rho} / 4)
-    is vec(drho/dt) = L(t) vec(rho) with L(t) = L0 + sum_c rate_c(t) L_c, where,
+    is vec(drho/dt) = (L0 + L(t)) vec(rho) with L(t) = sum_c rate_c(t) L_c, where,
     by vec(A rho B) = (A kron B^T) vec(rho),
 
         L0  = -i (h kron 1 - 1 kron h^T)
         L_c = S_c kron S_c^* / 2 - (S_c^dag S_c kron 1 + 1 kron (S_c^dag S_c)^T) / 4.
 
+    For h = diag(E), L0 is diagonal: coordinate (i, j) turns at its Bohr
+    frequency `freq` E_i - E_j. An L_c that links only coordinates of
+    equal frequency commutes with L0, so vec(rho(t)) = e^{L0 t} vec(rho~(t))
+    with d rho~/dt = L(t) rho~ (the interaction picture; Breuer &
+    Petruccione, The Theory of Open Quantum Systems, 2002). Construction
+    raises ValueError unless h is real and diagonal, the summed L_c are
+    real, and every nonzero L_c entry links frequencies equal to 1e-12 of
+    the largest |E_i| (a pair's kron-summed energies round differently,
+    so frequencies equal in exact arithmetic can differ in the last bit).
+
     Channels with equal (params, rate) share one weight at every t, so
     their L_c are summed into one op: rate(t) L_1 + rate(t) L_2 =
     rate(t) (L_1 + L_2) for any generator, and a pair of equal partitions
-    needs two dissipators instead of four. `ops` stacks L0 and the summed
-    L_c; `channels` holds each one's (params, rate); `feeds` is the union
-    of the ops' sparsity patterns. `groups(support)` splits the
-    coordinates a support reaches into the invariant blocks of that
-    pattern, grouped by block size.
+    needs two dissipators instead of four. `ops` stacks the summed L_c;
+    `channels` holds each one's (params, rate); `feeds` is the union of
+    the ops' sparsity patterns. `groups(support)` splits the coordinates
+    a support reaches into the invariant blocks of that pattern, grouped
+    by block size.
     """
 
     def __init__(self, h: np.ndarray, channels) -> None:
+        energies = np.diagonal(h).real
+        if (h != np.diag(energies)).any():
+            raise ValueError("h is not real and diagonal: the oracle works in the eigenbasis of h")
         eye = np.eye(len(h))
         dissipators = {}
         for s, p, rate in channels:
@@ -284,12 +282,18 @@ class _Generator:
             op = 0.5 * np.kron(s, s.conj()) - 0.25 * (np.kron(proj, eye) + np.kron(eye, proj.T))
             key = (p, rate)
             dissipators[key] = dissipators[key] + op if key in dissipators else op
+        ops = np.array([*dissipators.values()])
+        if np.imag(ops).any():
+            raise ValueError("a dissipator has complex entries: the oracle integrates real step matrices")
+        self.ops = np.real(ops)
         self.dim = len(h) ** 2
-        self.ops = np.array(
-            [-1j * (np.kron(h, eye) - np.kron(eye, h.T)), *dissipators.values()], dtype=complex
-        )
+        self.freq = np.subtract.outer(energies, energies).reshape(-1)
         self.channels = tuple(dissipators)
         self.feeds = (self.ops != 0).any(axis=0)  # feeds[i, j]: coordinate j feeds coordinate i
+        rows, cols = np.nonzero(self.feeds)
+        tol = 1e-12 * np.abs(energies).max(initial=0.0)
+        if (np.abs(self.freq[rows] - self.freq[cols]) > tol).any():
+            raise ValueError("a dissipator links two Bohr frequencies: it does not commute with L0")
 
     def groups(self, support: np.ndarray) -> list[_BlockGroup]:
         """Block groups, largest blocks first, of the coordinates the boolean mask `support` reaches.
@@ -318,14 +322,11 @@ class _Generator:
         return groups
 
     def weights(self, times: np.ndarray) -> np.ndarray:
-        """(T, 1 + C) real weights of the stacked ops: 1, then each rate at each time."""
-        w = np.ones((len(times), len(self.ops)))
-        for c, (p, rate) in enumerate(self.channels):
-            w[:, c + 1] = rate(p, times)
-        return w
+        """(T, C) real weights of the stacked ops: each rate at each time."""
+        return np.stack([rate(p, times) for p, rate in self.channels], axis=1)
 
     def at(self, times: np.ndarray) -> np.ndarray:
-        """(T, d*d, d*d) dense generators L(t) at the given times."""
+        """(T, d*d, d*d) dense interaction-frame generators L(t) at the given times."""
         return np.tensordot(self.weights(times), self.ops, axes=1)
 
 
@@ -339,21 +340,14 @@ def _single_generator(p: JcmParams) -> _Generator:
 
 def _pair_generator(p_a: JcmParams, p_b: JcmParams) -> _Generator:
     """Generator of the 9x9 master equation: both partitions decay independently."""
-    eye = np.eye(3, dtype=complex)
-
-    def lift_a(m: np.ndarray) -> np.ndarray:
-        return np.kron(m, eye)
-
-    def lift_b(m: np.ndarray) -> np.ndarray:
-        return np.kron(eye, m)
-
-    h = lift_a(_dressed_hamiltonian(p_a)) + lift_b(_dressed_hamiltonian(p_b))
+    eye = np.eye(3)
+    h = np.kron(_dressed_hamiltonian(p_a), eye) + np.kron(eye, _dressed_hamiltonian(p_b))
     s_plus, s_minus = _jump_operators()
     channels = (
-        (lift_a(s_plus), p_a, decay_rate_plus),
-        (lift_a(s_minus), p_a, decay_rate_minus),
-        (lift_b(s_plus), p_b, decay_rate_plus),
-        (lift_b(s_minus), p_b, decay_rate_minus),
+        (np.kron(s_plus, eye), p_a, decay_rate_plus),
+        (np.kron(s_minus, eye), p_a, decay_rate_minus),
+        (np.kron(eye, s_plus), p_b, decay_rate_plus),
+        (np.kron(eye, s_minus), p_b, decay_rate_minus),
     )
     return _Generator(h, channels)
 
@@ -450,8 +444,8 @@ def _chunk_steps(groups: list[_BlockGroup]) -> int:
     return max(1, _CHUNK_ENTRIES // sum(math.prod(g.shape) for g in groups))
 
 
-def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -> Trajectory:
-    """Classical RK4 on vec(rho), one step matrix per step and invariant block.
+def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajectory:
+    """Classical RK4 on vec(rho) in the frame of h, one real step matrix per step and invariant block.
 
     Only the coordinates `rho0`'s nonzero entries reach are integrated
     (`_Generator.groups`); every other coordinate of every recorded state
@@ -460,11 +454,13 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
     chunk, the rates come from the half-step grid j*h/2 in one call per
     channel. Each block group forms the chunk's step matrices for its
     representatives, then the products over each run of steps that ends
-    at or before the next recording point (`_chunks`), expands those to
-    every block (`_BlockGroup.expand`) and applies them to its part of
-    vec(rho) in order: 1x1 blocks by one cumulative product over the
-    chunk's runs, larger ones run by run. The chunk's recorded values go
-    into `states` at once.
+    at or before the next recording point (`_chunks`), gathers those per
+    block and applies them to its part of vec(rho) in order: 1x1 blocks
+    by one cumulative product over the chunk's runs, larger ones run by
+    run. The maps are real, so a complex `rho0` has its real and
+    imaginary parts carried alike. The chunk's recorded values go into
+    `states` at once; at the end each recorded coordinate of nonzero
+    Bohr frequency takes its exact phase e^{-i freq t}.
     """
     n = cfg.n_steps()
     every = cfg.record_every
@@ -481,13 +477,9 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
         recorded = ends % every == 0
         rows = ends[recorded] // every
         for k, g in enumerate(groups):
-            run = g.expand(
-                _product(
-                    _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(
-                        *g.shape, q, span
-                    )
-                )
-            )
+            run = _product(
+                _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(*g.shape, q, span)
+            )[g.rep]
             # 1x1 blocks: v, r0 v, r1 r0 v, ... in one call. A single run
             # (q = 1) takes the loop instead: numpy multiplies a lone pair
             # on a vectorized path that can round the last bit differently.
@@ -502,11 +494,13 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig, params) -
             parts[k] = after[-1]
             flat[rows[:, None], g.idx.reshape(-1)] = after[recorded].reshape(len(rows), g.idx.size)
     times = np.arange(len(states)) * every * h
-    traj = Trajectory(times=times, states=states, params=params)
-    drift = float(np.abs(np.trace(traj.states, axis1=1, axis2=2) - 1.0).max())
+    coords = np.concatenate([g.idx.reshape(-1) for g in groups])
+    turning = coords[gen.freq[coords] != 0.0]
+    flat[:, turning] *= np.exp(-1j * np.multiply.outer(times, gen.freq[turning]))
+    drift = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max())
     if not (drift <= 1e-8):
         raise RuntimeError(f"integration lost trace (drift {drift:.3e})")
-    return traj
+    return Trajectory(times=times, states=states)
 
 
 def _check_plan(cfg: IntegratorConfig, *params: JcmParams) -> None:
@@ -527,7 +521,7 @@ def integrate_single(rho0: np.ndarray, p: JcmParams, cfg: IntegratorConfig) -> T
     """RK4 trajectory of one partition's 3x3 dressed-basis state."""
     rho0 = validate_density_matrix(rho0, 3, name="rho0")
     _check_plan(cfg, p)
-    return _run_rk4(rho0, _single_generator(p), cfg, (p,))
+    return _run_rk4(rho0, _single_generator(p), cfg)
 
 
 def integrate_pair(
@@ -536,7 +530,7 @@ def integrate_pair(
     """RK4 trajectory of the joint 9x9 dressed-basis state."""
     rho0 = validate_density_matrix(rho0, 9, name="rho0")
     _check_plan(cfg, p_a, p_b)
-    return _run_rk4(rho0, _pair_generator(p_a, p_b), cfg, (p_a, p_b))
+    return _run_rk4(rho0, _pair_generator(p_a, p_b), cfg)
 
 
 _PANEL_BLOCK = 4096  # sub-panels `gauss_legendre` evaluates at once (bounded memory)
@@ -558,7 +552,7 @@ def gauss_legendre(f, a: float, b: float, panels: int) -> float:
     """Integral of f over [a, b] by the 8-point Gauss-Legendre rule on `panels` equal sub-panels.
 
     `f` maps an array of abscissae to an array of values. Exact through
-    degree 15 on each sub-panel; reversed limits flip the sign. `panels`
+    degree 15 on each sub-panel; reversed limits negate it. `panels`
     must be a positive integer.
     """
     _check_count("panels", panels, 1)

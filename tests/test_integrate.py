@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from djcm import integrate
-from djcm.evolution import propagate_pair
+from djcm.evolution import propagate_pair, propagate_pairs
 from djcm.integrate import (
     IntegratorConfig,
     gauss_legendre,
@@ -191,15 +191,17 @@ def test_superoperator_matches_matrix_form():
     s_minus[2, 1] = 1.0
     eye = np.eye(3)
 
-    single = integrate._single_generator(p_a).at(times)
-    pair = integrate._pair_generator(p_a, p_b).at(times)
+    # the interaction-frame generator plus L0 = -i diag(freq) is the
+    # lab-frame master equation
+    single_gen, pair_gen = integrate._single_generator(p_a), integrate._pair_generator(p_a, p_b)
+    single, pair = single_gen.at(times), pair_gen.at(times)
     for i, t in enumerate(times):
         rho = _random_matrix(rng, 3)
         expected = _master_equation(
             rho, _dressed_h(p_a), (s_plus, s_minus),
             (decay_rate_plus(p_a, t), decay_rate_minus(p_a, t)),
         )
-        got = (single[i] @ rho.reshape(-1)).reshape(3, 3)
+        got = ((single[i] - 1j * np.diag(single_gen.freq)) @ rho.reshape(-1)).reshape(3, 3)
         assert np.abs(got - expected).max() < 1e-13 * max(1.0, np.abs(expected).max())
 
         rho = _random_matrix(rng, 9)
@@ -210,7 +212,7 @@ def test_superoperator_matches_matrix_form():
             decay_rate_plus(p_b, t), decay_rate_minus(p_b, t),
         )
         expected = _master_equation(rho, h, jumps, rates)
-        got = (pair[i] @ rho.reshape(-1)).reshape(9, 9)
+        got = ((pair[i] - 1j * np.diag(pair_gen.freq)) @ rho.reshape(-1)).reshape(9, 9)
         assert np.abs(got - expected).max() < 1e-13 * max(1.0, np.abs(expected).max())
 
 
@@ -234,12 +236,12 @@ def test_oracle_stays_independent_of_the_closed_form():
 
 
 # representative step-matrix entries per step over every coordinate: one
-# 9x9, six 3x3 and eighteen 1x1 for a pair of distinct partitions; one
-# 9x9, three 3x3 and twelve 1x1 for an equal pair, whose channels merge;
-# one 3x3 and three 1x1 for one partition. initial_state(1) of an equal
-# pair reaches one 5x5 block and three 1x1 representatives.
-PAIR_ENTRIES = 81 + 6 * 9 + 18
-EQUAL_PAIR_ENTRIES = 81 + 3 * 9 + 12
+# 9x9, six 3x3 and nine 1x1 for a pair of distinct partitions; one 9x9,
+# three 3x3 and six 1x1 for an equal pair, whose channels merge; one 3x3
+# and three 1x1 for one partition. initial_state(1) of an equal pair
+# reaches one 5x5 block and three 1x1 representatives.
+PAIR_ENTRIES = 81 + 6 * 9 + 9
+EQUAL_PAIR_ENTRIES = 81 + 3 * 9 + 6
 SINGLE_ENTRIES = 9 + 3
 REACHED_PURE_PAIR_ENTRIES = 25 + 3
 
@@ -285,8 +287,8 @@ def test_the_entry_budget_sets_the_chunk_length():
     assert _entries(equal_groups) == EQUAL_PAIR_ENTRIES
     assert _entries(single_groups) == SINGLE_ENTRIES
     assert _entries(reached) == REACHED_PURE_PAIR_ENTRIES
-    assert integrate._chunk_steps(pair_groups) == 256
-    assert integrate._chunk_steps(equal_groups) == integrate._CHUNK_ENTRIES // EQUAL_PAIR_ENTRIES == 326
+    assert integrate._chunk_steps(pair_groups) == 272
+    assert integrate._chunk_steps(equal_groups) == integrate._CHUNK_ENTRIES // EQUAL_PAIR_ENTRIES == 343
     assert integrate._chunk_steps(single_groups) == 3264
     assert integrate._chunk_steps(reached) == integrate._CHUNK_ENTRIES // REACHED_PURE_PAIR_ENTRIES == 1398
 
@@ -374,23 +376,23 @@ def _block_labels(gen) -> np.ndarray:
     return labels
 
 
-def _dense_operators():
+def _dense_jumps():
     rng = np.random.default_rng(11)
-    h = _random_matrix(rng, 3)
-    return h + h.conj().T, _random_matrix(rng, 3)
+    return rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
 
 
 def _dense_generator():
-    h, s = _dense_operators()
-    return integrate._Generator(h, ((s, P, decay_rate_plus),))
+    """h = 0 and two real jump operators whose dissipators fill one 9x9 block."""
+    s1, s2 = _dense_jumps()
+    return integrate._Generator(np.zeros((3, 3)), ((s1, P, decay_rate_plus), (s2, P, decay_rate_minus)))
 
 
 @pytest.mark.parametrize(
     "gen, sizes, reps",
     [
         (integrate._single_generator(P_MEMORY), [3] + [1] * 6, [1, 3]),
-        (integrate._pair_generator(P, P_MEMORY), [9] + [3] * 12 + [1] * 36, [1, 6, 18]),
-        (integrate._pair_generator(P, P), [9] + [3] * 12 + [1] * 36, [1, 3, 12]),
+        (integrate._pair_generator(P, P_MEMORY), [9] + [3] * 12 + [1] * 36, [1, 6, 9]),
+        (integrate._pair_generator(P, P), [9] + [3] * 12 + [1] * 36, [1, 3, 6]),
         (_dense_generator(), [9], [1]),
     ],
     ids=["single", "pair", "equal pair", "dense"],
@@ -401,15 +403,13 @@ def test_invariant_blocks_partition_the_coordinates_and_hold_every_op_entry(gen,
     assert sorted((len(b) for g in groups for b in g.idx), reverse=True) == sizes
     rows, cols = np.nonzero(np.abs(gen.ops).sum(axis=0))
     assert (labels[rows] == labels[cols]).all()
-    # a Hermiticity-preserving generator pairs blocks up as complex conjugates
+    # blocks whose restricted ops are equal share a representative
     assert [g.shape[0] for g in groups] == reps
     # every block's op entries are the ops restricted to it: its
-    # representative's entries, conjugated where the block is flagged
+    # representative's entries
     for g in groups:
         sub = gen.ops[:, g.idx[:, :, None], g.idx[:, None, :]]
-        own = g.cols.T.reshape(len(gen.ops), *g.shape)[:, g.rep]
-        own[:, g.flip] = own[:, g.flip].conj()
-        assert np.array_equal(own, sub)
+        assert np.array_equal(g.cols.T.reshape(len(gen.ops), *g.shape)[:, g.rep], sub)
 
 
 def _stagewise_rk4(rho0, h_op, jumps, rates, cfg):
@@ -430,6 +430,13 @@ def _stagewise_rk4(rho0, h_op, jumps, rates, cfg):
     return np.array(states)
 
 
+def _interaction_frame_rk4(rho0, energies, jumps, rates, cfg):
+    """`_stagewise_rk4` with h = 0, then each entry turned by its exact phase e^{-i(E_i - E_j)t}."""
+    states = _stagewise_rk4(rho0, np.zeros((len(energies),) * 2), jumps, rates, cfg)
+    times = np.arange(len(states)) * cfg.record_every * cfg.step
+    return states * np.exp(-1j * np.multiply.outer(times, np.subtract.outer(energies, energies)))
+
+
 def _partition_channels(p: JcmParams, lift):
     s_plus = np.zeros((3, 3))
     s_plus[2, 0] = 1.0
@@ -441,43 +448,61 @@ def _partition_channels(p: JcmParams, lift):
     )
 
 
-def test_step_matrices_match_stagewise_rk4_on_a_distinct_pair():
+def _distinct_pair_case():
+    """fig3c-like distinct partitions at omega0 = 0.3, a random full-rank state and its plan."""
     p_a = JcmParams(omega0=0.3, omega=1.0, gamma0=1.0, lam=0.05)
     p_b = JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2)
     cfg = oracle_config(3.0, 31, p_a, p_b)
     assert cfg.record_every > 1
-    rng = np.random.default_rng(3)
-    a = _random_matrix(rng, 9)
+    a = _random_matrix(np.random.default_rng(3), 9)
     rho0 = a @ a.conj().T
-    rho0 /= rho0.trace()
+    return p_a, p_b, rho0 / rho0.trace(), cfg
+
+
+def _pair_channels(p_a: JcmParams, p_b: JcmParams):
+    """The pair's dressed Hamiltonian, its four lifted jump operators and their rates."""
     eye = np.eye(3)
     jumps_a, rates_a = _partition_channels(p_a, lambda m: np.kron(m, eye))
     jumps_b, rates_b = _partition_channels(p_b, lambda m: np.kron(eye, m))
     h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
-    expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
+    return h_op, jumps_a + jumps_b, rates_a + rates_b
+
+
+def test_step_matrices_match_stagewise_rk4_on_a_distinct_pair():
+    p_a, p_b, rho0, cfg = _distinct_pair_case()
+    h_op, jumps, rates = _pair_channels(p_a, p_b)
+    expected = _interaction_frame_rk4(rho0, h_op.diagonal(), jumps, rates, cfg)
     got = integrate_pair(rho0, p_a, p_b, cfg).states
     assert np.abs(got - expected).max() < 1e-13
 
 
+def test_the_interaction_frame_lands_closer_to_the_closed_form_than_a_lab_frame_rk4():
+    # the same steps in the lab frame must also resolve the free rotation;
+    # in the frame of h only the rates' time dependence is integrated
+    p_a, p_b, rho0, cfg = _distinct_pair_case()
+    h_op, jumps, rates = _pair_channels(p_a, p_b)
+    lab = _stagewise_rk4(rho0, h_op, jumps, rates, cfg)
+    traj = integrate_pair(rho0, p_a, p_b, cfg)
+    exact = propagate_pairs(rho0, p_a, p_b, traj.times)
+    assert np.abs(traj.states - exact).max() < np.abs(lab - exact).max()
+
+
 def test_shared_step_matrices_match_stagewise_rk4_on_a_non_hermitian_vector():
-    # blocks share conjugated step matrices, and an equal pair also merges
-    # its channels; the vector they act on need not be Hermitian for
-    # either, so a generic complex matrix must agree too
+    # blocks share step matrices, and an equal pair also merges its
+    # channels; the vector they act on need not be Hermitian for either,
+    # so a generic complex matrix must agree too
     p_a = JcmParams(omega0=0.3, omega=1.0, gamma0=1.0, lam=0.05)
     rho0 = _random_matrix(np.random.default_rng(17), 9)
     rho0 /= rho0.trace()
     assert np.abs(rho0 - rho0.conj().T).max() > 0.5
-    eye = np.eye(3)
-    for p_b, ops in ((JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2), 5), (p_a, 3)):
+    for p_b, ops in ((JcmParams(omega0=0.3, omega=1.5, gamma0=1.0, lam=0.2), 4), (p_a, 2)):
         cfg = oracle_config(3.0, 31, p_a, p_b)
-        jumps_a, rates_a = _partition_channels(p_a, lambda m: np.kron(m, eye))
-        jumps_b, rates_b = _partition_channels(p_b, lambda m: np.kron(eye, m))
-        h_op = np.kron(_dressed_h(p_a), eye) + np.kron(eye, _dressed_h(p_b))
-        expected = _stagewise_rk4(rho0, h_op, jumps_a + jumps_b, rates_a + rates_b, cfg)
+        h_op, jumps, rates = _pair_channels(p_a, p_b)
+        expected = _interaction_frame_rk4(rho0, h_op.diagonal(), jumps, rates, cfg)
         gen = integrate._pair_generator(p_a, p_b)
-        assert any(g.flip.any() for g in gen.groups(_support(rho0)))
+        assert any(g.shape[0] < len(g.idx) for g in gen.groups(_support(rho0)))
         assert len(gen.ops) == ops
-        got = integrate._run_rk4(rho0, gen, cfg, (p_a, p_b)).states
+        got = integrate._run_rk4(rho0, gen, cfg).states
         assert np.abs(got - expected).max() < 1e-13
 
 
@@ -504,14 +529,14 @@ def test_merged_channels_give_the_states_of_four_on_fig2a():
         ),
     )
     merged = integrate._pair_generator(p, p)
-    assert (len(merged.ops), len(unmerged.ops)) == (3, 5)
-    assert [g.shape[0] for g in merged.groups(_every_coordinate(merged))] == [1, 3, 12]
-    assert [g.shape[0] for g in unmerged.groups(_every_coordinate(unmerged))] == [1, 6, 18]
+    assert (len(merged.ops), len(unmerged.ops)) == (2, 4)
+    assert [g.shape[0] for g in merged.groups(_every_coordinate(merged))] == [1, 3, 6]
+    assert [g.shape[0] for g in unmerged.groups(_every_coordinate(unmerged))] == [1, 6, 9]
     pair_cfg = oracle_config(cfg.t_max, cfg.samples, p, p)
     rho0 = initial_state(cfg.purity)
     assert np.array_equal(
-        integrate._run_rk4(rho0, merged, pair_cfg, (p, p)).states,
-        integrate._run_rk4(rho0, unmerged, pair_cfg, (p, p)).states,
+        integrate._run_rk4(rho0, merged, pair_cfg).states,
+        integrate._run_rk4(rho0, unmerged, pair_cfg).states,
     )
 
 
@@ -532,8 +557,8 @@ def test_a_reached_run_gives_the_states_of_a_run_over_every_coordinate(monkeypat
     full = _over_every_coordinate(monkeypatch, integrate._pair_generator(p_a, p_b))
     for r in (0.0, 0.5, 1.0):
         rho0 = initial_state(r)
-        reached = integrate._run_rk4(rho0, integrate._pair_generator(p_a, p_b), pair_cfg, (p_a, p_b))
-        assert np.array_equal(reached.states, integrate._run_rk4(rho0, full, pair_cfg, (p_a, p_b)).states)
+        reached = integrate._run_rk4(rho0, integrate._pair_generator(p_a, p_b), pair_cfg)
+        assert np.array_equal(reached.states, integrate._run_rk4(rho0, full, pair_cfg).states)
     # the uniform single state reaches all 9 coordinates: the same groups
     single0 = _uniform3()
     single_cfg = oracle_config(cfg.t_max / 10.0, 151, p_a)
@@ -543,8 +568,8 @@ def test_a_reached_run_gives_the_states_of_a_run_over_every_coordinate(monkeypat
     ]
     full = _over_every_coordinate(monkeypatch, integrate._single_generator(p_a))
     assert np.array_equal(
-        integrate._run_rk4(single0, gen, single_cfg, (p_a,)).states,
-        integrate._run_rk4(single0, full, single_cfg, (p_a,)).states,
+        integrate._run_rk4(single0, gen, single_cfg).states,
+        integrate._run_rk4(single0, full, single_cfg).states,
     )
 
 
@@ -582,13 +607,13 @@ def test_the_ground_state_reaches_only_itself_and_stays_fixed():
 
 def test_fig2a_integrates_one_5x5_block_and_twelve_scalars():
     # initial_state(1) sits in the one-excitation sector, which decays only
-    # to the ground level: 17 of the 81 coordinates, one real 5x5 block and
-    # twelve 1x1 blocks over three representatives
+    # to the ground level: 17 of the 81 coordinates, one 5x5 block and
+    # twelve 1x1 blocks over three representatives, all of them real
     cfg = preset_config("fig2a")
     groups = integrate._pair_generator(cfg.params_a, cfg.params_b).groups(_support(initial_state(cfg.purity)))
     assert [g.idx.shape for g in groups] == [(1, 5), (12, 1)]
     assert [g.shape for g in groups] == [(1, 5, 5), (3, 1, 1)]
-    assert groups[0].cols.dtype == np.float64
+    assert [g.cols.dtype for g in groups] == [np.float64, np.float64]
 
 
 def test_step_matrices_match_stagewise_rk4_while_the_upper_rate_is_negative():
@@ -597,21 +622,45 @@ def test_step_matrices_match_stagewise_rk4_while_the_upper_rate_is_negative():
     assert (decay_rate_plus(P_MEMORY, times) < 0.0).any()
     jumps, rates = _partition_channels(P_MEMORY, lambda m: m)
     rho0 = _uniform3()
-    expected = _stagewise_rk4(rho0, _dressed_h(P_MEMORY), jumps, rates, cfg)
+    expected = _interaction_frame_rk4(rho0, _dressed_h(P_MEMORY).diagonal(), jumps, rates, cfg)
     got = integrate_single(rho0, P_MEMORY, cfg).states
     assert np.abs(got - expected).max() < 1e-13
 
 
 def test_step_matrices_match_stagewise_rk4_on_a_dense_generator():
     # one block whose ops do not commute: the order of the step products matters
-    h, s = _dense_operators()
     gen = _dense_generator()
     assert not np.allclose(gen.ops[0] @ gen.ops[1], gen.ops[1] @ gen.ops[0])
     cfg = IntegratorConfig(step=0.002, t_end=0.6, record_every=30)
     rho0 = _uniform3()
-    expected = _stagewise_rk4(rho0, h, [s], [lambda t: decay_rate_plus(P, t)], cfg)
-    got = integrate._run_rk4(rho0, gen, cfg, (P,)).states
+    rates = [lambda t: decay_rate_plus(P, t), lambda t: decay_rate_minus(P, t)]
+    expected = _stagewise_rk4(rho0, np.zeros((3, 3)), _dense_jumps(), rates, cfg)
+    got = integrate._run_rk4(rho0, gen, cfg).states
     assert np.abs(got - expected).max() < 1e-13
+
+
+def test_the_generator_refuses_what_the_interaction_frame_cannot_carry():
+    s_plus, _ = integrate._jump_operators()
+    plus = ((s_plus, P, decay_rate_plus),)
+    with pytest.raises(ValueError, match="h is not real and diagonal"):
+        integrate._Generator(np.ones((3, 3)), plus)
+    with pytest.raises(ValueError, match="complex entries"):
+        s = _random_matrix(np.random.default_rng(4), 3)
+        integrate._Generator(np.zeros((3, 3)), ((s, P, decay_rate_plus),))
+    # |1><0| + |2><1| links coordinates (0, 1) and (1, 2), whose
+    # frequencies -1 and -2 differ under h = diag(0, 1, 3)
+    ladder = np.zeros((3, 3))
+    ladder[1, 0] = ladder[2, 1] = 1.0
+    with pytest.raises(ValueError, match="does not commute with L0"):
+        integrate._Generator(np.diag([0.0, 1.0, 3.0]), ((ladder, P, decay_rate_plus),))
+    # the same ladder commutes with an evenly spaced h
+    integrate._Generator(np.diag([0.0, 1.0, 2.0]), ((ladder, P, decay_rate_plus),))
+    # a distinct pair at omega0 = 0.3 commutes, yet some of its linked
+    # kron-summed frequencies differ in the last bit: exact equality would
+    # refuse it
+    gen = integrate._pair_generator(*_distinct_pair_case()[:2])
+    rows, cols = np.nonzero(gen.feeds)
+    assert 0.0 < np.abs(gen.freq[rows] - gen.freq[cols]).max() < 1e-14
 
 
 def test_a_long_recording_interval_runs_in_bounded_memory():
@@ -729,7 +778,6 @@ def test_trajectory_bookkeeping():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(2.0)
     assert np.abs(np.diff(traj.times) - 0.1).max() < 1e-12
-    assert traj.params == (P,)
 
 
 def test_gauss_legendre_polynomial_exactness():

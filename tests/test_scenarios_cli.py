@@ -940,6 +940,26 @@ def test_cli_validate_with_config(tmp_path, capsys):
     assert report["preset"] is None
 
 
+def test_cli_validate_is_blind_to_omega0(tmp_path, capsys):
+    # omega0 only turns coherences between excitation sectors by exact
+    # phases; an oracle that resolved them by RK4 steps bounded by omega
+    # and lam read max_dev_single 1.6e-4 at omega0 = 100 and failed
+    devs = []
+    for omega0 in (0.0, 10.0, 100.0, 1000.0):
+        cfg_path = tmp_path / f"omega0_{omega0:g}.json"
+        cfg_path.write_text(json.dumps({
+            "params_a": {"omega": 1.0, "lam": 5.0, "gamma0": 1.0, "omega0": omega0},
+            "purity": 1.0,
+            "t_max": 15.0,
+            "samples": 151,
+        }), encoding="utf-8")
+        assert main(["validate", "--config", str(cfg_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        devs.append((report["max_dev_single"], report["max_dev_pair"]))
+    assert devs == [devs[0]] * 4, devs
+
+
 def test_cli_exits_141_when_the_reader_closes_the_pipe(tmp_path):
     # far more CSV than a pipe buffers, so the writer is still running
     # when the reader goes away, as with `djcm evolve ... | head -2`
