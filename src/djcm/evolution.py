@@ -89,7 +89,8 @@ def propagate_pairs(r0: np.ndarray, p_a: JcmParams, p_b: JcmParams, times: np.nd
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
-    out = _pair_map(transfer_tensor(p_a, times), transfer_tensor(p_b, times), r0)
+    t_a = transfer_tensor(p_a, times)
+    out = _pair_map(t_a, t_a if p_b == p_a else transfer_tensor(p_b, times), r0)
     _check_drift(
         np.abs(np.trace(out, axis1=1, axis2=2) - r0.trace()).max(initial=0.0),
         np.abs(out - out.conj().transpose(0, 2, 1)).max(initial=0.0),

@@ -19,12 +19,15 @@ generator evaluations as the four stages. Channels that share their parameters
 and rate function are summed into one dissipator, so two equal
 partitions cost the generator two ops rather than four. Blocks whose
 restricted ops are exactly equal share one representative's step
-matrices. The step matrices exist a chunk at a time, and a chunk holds
-a fixed budget of representative entries rather than a fixed number of
-steps, so a run that reaches fewer coordinates takes longer chunks and
-memory stays bounded either way. Blocks of 5x5 and up are multiplied in
-time-major memory; 1x1 blocks advance a whole chunk in one cumulative
-product.
+matrices. The blocks are independent ODEs, so each group of equal-size
+blocks advances on its own: its step matrices exist a run at a time,
+and a run holds a fixed budget of representative entries rather than a
+fixed number of steps, so a smaller group takes longer runs and memory
+stays bounded either way. The rates are evaluated once per outer range
+of steps, held to the same budget and shared by every group. Every step
+map is real, so a group carries its part of vec(rho) as real and
+imaginary columns. Blocks of 5x5 and up are multiplied in time-major
+memory; 1x1 blocks advance a whole run in one cumulative product.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -157,19 +160,21 @@ def oracle_config(t_end: float, samples: int, *params: JcmParams) -> IntegratorC
     return cfg
 
 
-# Most representative step-matrix entries (float64) that exist at once.
-# Entries per step are those of the block groups a run integrates, so
-# they depend on what the initial state reaches, and a run gets as many
-# steps per chunk as fit (`_chunk_steps`). Over every coordinate: 272
-# steps for a pair of distinct partitions (one 9x9, six 3x3 and nine 1x1
-# representatives, 144 entries), 343 for a pair of equal partitions (one
-# 9x9, three 3x3 and six 1x1, 114 entries) and 3264 for one partition's
-# 12. `initial_state(1)` of an equal pair reaches 17 coordinates, one
-# 5x5 block and twelve 1x1 blocks over three representatives, 28
-# entries: 1398 steps. A chunk holds whole recording intervals when they
-# are this short, and otherwise a piece of one interval, so memory stays
-# bounded (about 1 MB of temporaries) whatever the plan; the rates are
-# evaluated once per chunk.
+# Most float64 entries that one array on a chunk's time grid holds. A
+# block group of R representatives of size m runs `_chunk_steps(R*m*m)`
+# steps at a time, so that its S + 1 rows of generator blocks fit; the
+# rates of an outer range of steps, 2S + 1 rows of one weight per
+# channel, fit too (`_chunk_steps(channels, 2)`). Over every coordinate a
+# pair of distinct partitions (one 9x9, six 3x3 and nine 1x1
+# representatives) runs 482, 724 and 4351 steps within outer ranges of
+# 4895; an equal pair (one 9x9, three 3x3, six 1x1) 482, 1449 and 6527
+# within 9791; one partition (one 3x3, three 1x1) 4351 and 13055 within
+# 9791, so its scalars take whole outer ranges. `initial_state(1)` of an
+# equal pair reaches one 5x5 block and twelve 1x1 blocks over three
+# representatives: 1565 and 13055 steps within 9791. A run holds
+# whole recording intervals when they are this short, and otherwise a
+# piece of one interval, so memory stays bounded (about 2.5 MB of
+# temporaries) whatever the plan.
 _CHUNK_ENTRIES = 39_168
 
 
@@ -423,11 +428,11 @@ def _product(steps: np.ndarray) -> np.ndarray:
 
 
 def _chunks(n: int, every: int, size: int):
-    """(first step, q, span): q consecutive runs of `span` steps from `first`.
+    """(first step, q, span): q consecutive stretches of `span` steps from `first`, at most `size` in all.
 
     Recording intervals of at most `size` steps are taken whole, as many
-    as fit; a longer interval is cut into pieces of at most `size`. A run
-    never straddles a recording point.
+    as fit; a longer interval is cut into pieces of at most `size`. A
+    stretch never straddles a recording point.
     """
     if every <= size:
         per = size // every * every
@@ -439,9 +444,9 @@ def _chunks(n: int, every: int, size: int):
                 yield first, 1, min(size, start + every - first)
 
 
-def _chunk_steps(groups: list[_BlockGroup]) -> int:
-    """RK4 steps per chunk: as many as `_CHUNK_ENTRIES` representative entries hold, at least 1."""
-    return max(1, _CHUNK_ENTRIES // sum(math.prod(g.shape) for g in groups))
+def _chunk_steps(entries: int, rows: int = 1) -> int:
+    """Steps S per chunk, at least 1: rows * S + 1 time rows of `entries` entries fit `_CHUNK_ENTRIES`."""
+    return max(1, (_CHUNK_ENTRIES // entries - 1) // rows)
 
 
 def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajectory:
@@ -449,18 +454,20 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajec
 
     Only the coordinates `rho0`'s nonzero entries reach are integrated
     (`_Generator.groups`); every other coordinate of every recorded state
-    is exactly 0. A chunk holds `_chunk_steps(groups)` steps, so the
-    presets' recording intervals, at most 150 steps, run whole. Per
-    chunk, the rates come from the half-step grid j*h/2 in one call per
-    channel. Each block group forms the chunk's step matrices for its
-    representatives, then the products over each run of steps that ends
-    at or before the next recording point (`_chunks`), gathers those per
-    block and applies them to its part of vec(rho) in order: 1x1 blocks
-    by one cumulative product over the chunk's runs, larger ones run by
-    run. The maps are real, so a complex `rho0` has its real and
-    imaginary parts carried alike. The chunk's recorded values go into
-    `states` at once; at the end each recorded coordinate of nonzero
-    Bohr frequency takes its exact phase e^{-i freq t}.
+    is exactly 0. The rates come from the half-step grid j*h/2, one call
+    per channel over an outer range of steps whose 2S + 1 rate rows fit
+    the entry budget (`_chunk_steps`). Every block group then advances
+    on its own over that range, in runs of as many steps as its
+    representatives' S + 1 step-matrix rows fit the same budget: it
+    forms a run's step matrices, the products over each stretch of steps
+    that ends at or before the next recording point (`_chunks`), gathers
+    those per block and applies them to its part of vec(rho) in order.
+    The maps are real, so each part is carried as real (K, m, 2) columns,
+    the real and imaginary parts of a complex `rho0` alike: 1x1 blocks
+    advance a run by one cumulative product, larger ones by one
+    np.matmul per stretch. Recorded values go into `states` through its
+    float view; at the end each recorded coordinate of nonzero Bohr
+    frequency takes its exact phase e^{-i freq t}.
     """
     n = cfg.n_steps()
     every = cfg.record_every
@@ -469,30 +476,31 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajec
     groups = gen.groups(rho0.reshape(-1) != 0)
     states = np.zeros((n // every + 1, d, d), dtype=complex)
     states[0] = rho0
-    flat = states.reshape(len(states), -1)
-    parts = [rho0.reshape(-1)[g.idx] for g in groups]
-    for first, q, span in _chunks(n, every, _chunk_steps(groups)):
+    columns = states.view(float).reshape(len(states), -1, 2)  # (re, im) of each coordinate
+    parts = [columns[0, g.idx] for g in groups]
+    sizes = [_chunk_steps(math.prod(g.shape)) for g in groups]
+    for first, q, span in _chunks(n, every, _chunk_steps(len(gen.channels), 2)):
         w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
-        ends = first + span * np.arange(1, q + 1)
-        recorded = ends % every == 0
-        rows = ends[recorded] // every
         for k, g in enumerate(groups):
-            run = _product(
-                _step_matrices(g.generators(w[0::2]), g.generators(w[1::2]), h).reshape(*g.shape, q, span)
-            )[g.rep]
-            # 1x1 blocks: v, r0 v, r1 r0 v, ... in one call. A single run
-            # (q = 1) takes the loop instead: numpy multiplies a lone pair
-            # on a vectorized path that can round the last bit differently.
-            if g.shape[1] == 1 and q > 1:
-                seq = np.concatenate([parts[k], run[:, 0, 0]], axis=1)
-                after = np.multiply.accumulate(seq, axis=1)[:, 1:].T[..., None]
-            else:
-                after = np.empty((q, *parts[k].shape), dtype=complex)
+            # the group's runs over the range: `count` stretches of `length` steps from `start`
+            for start, count, length in _chunks(q * span, span, sizes[k]):
+                rates = w[2 * start : 2 * (start + count * length) + 1]
+                steps = _step_matrices(g.generators(rates[0::2]), g.generators(rates[1::2]), h)
+                maps = _product(steps.reshape(*g.shape, count, length)).transpose(3, 0, 1, 2)[:, g.rep]
                 part = parts[k]
-                for j in range(q):
-                    part = after[j] = np.einsum("kij,kj->ki", run[..., j], part)
-            parts[k] = after[-1]
-            flat[rows[:, None], g.idx.reshape(-1)] = after[recorded].reshape(len(rows), g.idx.size)
+                if g.shape[1] == 1:  # v, r0 v, r1 r0 v, ... in one call
+                    seq = np.concatenate([part[None], np.broadcast_to(maps, (count, *part.shape))])
+                    after = np.multiply.accumulate(seq, axis=0)[1:]
+                else:
+                    after = np.empty((count, *part.shape))
+                    for j in range(count):
+                        part = np.matmul(maps[j], part, out=after[j])
+                parts[k] = after[-1]
+                ends = first + start + length * np.arange(1, count + 1)
+                recorded = ends % every == 0
+                rows = after[recorded].reshape(-1, g.idx.size, 2)
+                columns[ends[recorded, None] // every, g.idx.reshape(-1)] = rows
+    flat = states.reshape(len(states), -1)
     times = np.arange(len(states)) * every * h
     coords = np.concatenate([g.idx.reshape(-1) for g in groups])
     turning = coords[gen.freq[coords] != 0.0]

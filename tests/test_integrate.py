@@ -275,6 +275,11 @@ def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
     assert np.abs(chunked.states - whole.states).max() < 1e-15
 
 
+def _steps(groups) -> list[int]:
+    """Steps per run of each block group: S + 1 rows of its representative entries fit the budget."""
+    return [integrate._chunk_steps(math.prod(g.shape)) for g in groups]
+
+
 def test_the_entry_budget_sets_the_chunk_length():
     pair, single = integrate._pair_generator(P, P_MEMORY), integrate._single_generator(P)
     equal = integrate._pair_generator(P, P)
@@ -287,10 +292,28 @@ def test_the_entry_budget_sets_the_chunk_length():
     assert _entries(equal_groups) == EQUAL_PAIR_ENTRIES
     assert _entries(single_groups) == SINGLE_ENTRIES
     assert _entries(reached) == REACHED_PURE_PAIR_ENTRIES
-    assert integrate._chunk_steps(pair_groups) == 272
-    assert integrate._chunk_steps(equal_groups) == integrate._CHUNK_ENTRIES // EQUAL_PAIR_ENTRIES == 343
-    assert integrate._chunk_steps(single_groups) == 3264
-    assert integrate._chunk_steps(reached) == integrate._CHUNK_ENTRIES // REACHED_PURE_PAIR_ENTRIES == 1398
+    # each group runs on its own budget, whatever the others hold
+    assert _steps(pair_groups) == [482, 724, 4351]
+    assert _steps(equal_groups) == [482, integrate._CHUNK_ENTRIES // (3 * 9) - 1, 6527] == [482, 1449, 6527]
+    assert _steps(single_groups) == [4351, 13055]
+    assert _steps(reached) == [integrate._CHUNK_ENTRIES // 25 - 1, 13055] == [1565, 13055]
+    # an outer range's rates: 2S + 1 rows of one weight per channel
+    assert integrate._chunk_steps(len(pair.channels), 2) == 4895
+    assert integrate._chunk_steps(len(equal.channels), 2) == integrate._chunk_steps(len(single.channels), 2) == 9791
+
+
+def _recording_chunks(monkeypatch) -> list:
+    """Patch `_chunks` to log each call as (size, runs): the rates' outer ranges, then each group's runs in each."""
+    calls = []
+    chunks = integrate._chunks
+
+    def recorded(n, every, size):
+        runs = list(chunks(n, every, size))
+        calls.append((size, runs))
+        return iter(runs)
+
+    monkeypatch.setattr(integrate, "_chunks", recorded)
+    return calls
 
 
 @pytest.mark.parametrize("oracle", ["pair", "single"])
@@ -298,15 +321,7 @@ def test_a_150_step_recording_interval_runs_whole(monkeypatch, oracle):
     # fig2c and fig4 record every 150 steps; no run may cut an interval
     cfg = oracle_config(0.3, 16, P_STIFF)
     assert cfg.record_every == 150
-    runs = []
-
-    def recorded(n, every, size):
-        for run in chunks(n, every, size):
-            runs.append(run)
-            yield run
-
-    chunks = integrate._chunks
-    monkeypatch.setattr(integrate, "_chunks", recorded)
+    calls = _recording_chunks(monkeypatch)
     if oracle == "pair":
         rho0 = initial_state(1.0)
         integrate_pair(rho0, P_STIFF, P_STIFF, cfg)
@@ -315,52 +330,142 @@ def test_a_150_step_recording_interval_runs_whole(monkeypatch, oracle):
         rho0 = _uniform3()
         integrate_single(rho0, P_STIFF, cfg)
         gen = integrate._single_generator(P_STIFF)
-    assert {span for _, _, span in runs} == {150}
-    assert sum(q for _, q, _ in runs) == 15
-    # as many whole intervals per run as the chunk of the groups the run
-    # integrates holds: two runs of at most nine for the reached pair's
-    # 1398-step chunks, one run for the single partition's 3264 steps
-    steps = integrate._chunk_steps(gen.groups(_support(rho0)))
-    assert steps == {"pair": 1398, "single": 3264}[oracle]
-    assert len(runs) == math.ceil(15 / (steps // 150)) == {"pair": 2, "single": 1}[oracle]
+    # one outer range holds all fifteen intervals' rates
+    (_, outer), *inner = calls
+    assert outer == [(0, 15, 150)]
+    # then every group runs each interval whole, on its own budget: two
+    # runs of at most ten for the reached pair's 5x5 block (1565 steps),
+    # one run for each other group
+    assert [size for size, _ in inner] == _steps(gen.groups(_support(rho0)))
+    for size, runs in inner:
+        assert {span for _, _, span in runs} == {150}
+        assert sum(q for _, q, _ in runs) == 15
+        assert len(runs) == math.ceil(15 / (size // 150))
+    assert [len(runs) for _, runs in inner] == {"pair": [2, 1], "single": [1, 1]}[oracle]
 
 
 def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
-    # every fig2a interval is shorter than 128 steps, so chunks of 128
-    # steps and those the budget sets hold whole intervals alike and the
-    # states agree to the last bit
+    # every fig2a interval is shorter than 128 steps, so runs of the
+    # budget's length, of 128 steps and of one interval hold whole
+    # intervals alike and the states agree to the last bit
     cfg = preset_config("fig2a")
     pair_cfg = oracle_config(cfg.t_max, cfg.samples, cfg.params_a, cfg.params_b)
     single_cfg = oracle_config(cfg.t_max, cfg.samples, cfg.params_a)
     assert max(pair_cfg.record_every, single_cfg.record_every) <= 128
     rho0, single0 = initial_state(cfg.purity), _uniform3()
-    # the entries per step of the groups each run integrates
-    pair_entries = _entries(integrate._pair_generator(cfg.params_a, cfg.params_b).groups(_support(rho0)))
-    single_entries = _entries(integrate._single_generator(cfg.params_a).groups(_support(single0)))
-    assert (pair_entries, single_entries) == (REACHED_PURE_PAIR_ENTRIES, SINGLE_ENTRIES)
-    steps = []
+    # the entries per step of the largest group each run integrates, which comes first
+    pair_largest = math.prod(integrate._pair_generator(cfg.params_a, cfg.params_b).groups(_support(rho0))[0].shape)
+    single_largest = math.prod(integrate._single_generator(cfg.params_a).groups(_support(single0))[0].shape)
+    assert (pair_largest, single_largest) == (25, 9)
+    calls = _recording_chunks(monkeypatch)
 
-    def recorded(n, every, size):
-        steps.append(size)
-        return chunks(n, every, size)
+    def run(budget, call):
+        """States of `call` under `budget`, and the steps per run of its largest group."""
+        monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", budget)
+        calls.clear()
+        states = call()
+        return states, calls[1][0]  # calls[0] cuts the rates' outer ranges
 
-    chunks = integrate._chunks
-    monkeypatch.setattr(integrate, "_chunks", recorded)
-    pair = integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states
-    single = integrate_single(single0, cfg.params_a, single_cfg).states
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * pair_entries)
-    assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 128 * single_entries)
-    assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
-    # one interval per chunk: the 1x1 blocks then advance by the
-    # per-interval loop, not the cumulative product, to the same bits
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", pair_cfg.record_every * pair_entries)
-    assert np.array_equal(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states, pair)
-    monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", single_cfg.record_every * single_entries)
-    assert np.array_equal(integrate_single(single0, cfg.params_a, single_cfg).states, single)
-    # the budgets meant what they say: the budget's chunks, then 128 steps,
-    # then one interval, for each oracle
-    assert steps == [1398, 3264, 128, 128, pair_cfg.record_every, single_cfg.record_every]
+    def pair(budget):
+        return run(budget, lambda: integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states)
+
+    def single(budget):
+        return run(budget, lambda: integrate_single(single0, cfg.params_a, single_cfg).states)
+
+    budget = integrate._CHUNK_ENTRIES
+    pair_states, pair_steps = pair(budget)
+    single_states, single_steps = single(budget)
+    assert (pair_steps, single_steps) == (1565, 4351)
+    # the largest group takes 128 steps, then one interval, per run
+    for steps in (128, pair_cfg.record_every):
+        states, taken = pair((steps + 1) * pair_largest)
+        assert taken == steps
+        assert np.array_equal(states, pair_states)
+    for steps in (128, single_cfg.record_every):
+        states, taken = single((steps + 1) * single_largest)
+        assert taken == steps
+        assert np.array_equal(states, single_states)
+
+
+def _fig2a_half_pure_case():
+    """fig2a's pair at r = 0.5, which reaches a 9x9, a 3x3 and 1x1 blocks, and its plan."""
+    cfg = preset_config("fig2a")
+    gen = integrate._pair_generator(cfg.params_a, cfg.params_b)
+    return gen, initial_state(0.5), oracle_config(cfg.t_max, cfg.samples, cfg.params_a, cfg.params_b)
+
+
+def _distinct_full_case():
+    """Distinct partitions, a state that reaches every coordinate, and a plan of two outer ranges."""
+    p_a, p_b, rho0, _ = _distinct_pair_case()
+    return integrate._pair_generator(p_a, p_b), rho0, oracle_config(30.0, 301, p_a, p_b)
+
+
+@pytest.mark.parametrize("case", [_fig2a_half_pure_case, _distinct_full_case], ids=["fig2a r=0.5", "distinct full"])
+def test_no_step_matrix_input_or_rate_block_holds_more_than_the_budget(monkeypatch, case):
+    gen, rho0, cfg = case()
+    budget = integrate._CHUNK_ENTRIES
+    every = cfg.record_every
+    inputs, rates = {}, []
+    step_matrices, weights = integrate._step_matrices, gen.weights
+
+    def recorded_steps(l_ends, l_mids, h):
+        assert l_ends.shape[-1] == l_mids.shape[-1] + 1
+        inputs.setdefault(l_mids.shape[:3], []).append(l_mids.shape[-1])
+        assert max(l_ends.size, l_mids.size) <= budget
+        return step_matrices(l_ends, l_mids, h)
+
+    def recorded_weights(times):
+        w = weights(times)
+        rates.append(len(w))
+        assert w.size <= budget
+        return w
+
+    monkeypatch.setattr(integrate, "_step_matrices", recorded_steps)
+    monkeypatch.setattr(gen, "weights", recorded_weights)
+    integrate._run_rk4(rho0, gen, cfg)
+    groups = gen.groups(_support(rho0))
+    assert sorted(inputs) == sorted(g.shape for g in groups)
+    assert len(groups) == 3 and len(rates) == 2
+    # and the budget is used: one more interval would overflow the rates'
+    # block or the group's step matrices
+    outer = (max(rates) - 1) // 2
+    assert (2 * (outer + every) + 1) * len(gen.channels) > budget
+    for g in groups:
+        longest = max(inputs[g.shape])
+        assert longest == outer or (longest + every + 1) * math.prod(g.shape) > budget
+
+
+@pytest.mark.parametrize("case", [_fig2a_half_pure_case, _distinct_full_case], ids=["fig2a r=0.5", "distinct full"])
+def test_the_rates_are_evaluated_once_per_outer_range_per_channel(monkeypatch, case):
+    gen, rho0, cfg = case()
+    calls = {}
+
+    def counted(rate):
+        def call(p, t):
+            calls[rate.__name__, p] = calls.get((rate.__name__, p), 0) + 1
+            return rate(p, t)
+
+        return call
+
+    # the generator calls the rate function of each of its channels: swap
+    # in counting ones, same ops
+    gen.channels = tuple((p, counted(rate)) for p, rate in gen.channels)
+    integrate._run_rk4(rho0, gen, cfg)
+    outer = integrate._chunk_steps(len(gen.channels), 2)
+    ranges = len(list(integrate._chunks(cfg.n_steps(), cfg.record_every, outer)))
+    assert ranges == 2
+    # one call per channel and outer range, shared by the three groups
+    assert len(gen.groups(_support(rho0))) == 3
+    assert sorted(calls.values()) == [ranges] * len(gen.channels)
+
+
+@pytest.mark.parametrize("case", [_fig2a_half_pure_case, _distinct_full_case], ids=["fig2a r=0.5", "distinct full"])
+def test_the_group_order_changes_no_bit(monkeypatch, case):
+    gen, rho0, cfg = case()
+    forward = integrate._run_rk4(rho0, gen, cfg).states
+    groups = gen.groups(_support(rho0))
+    monkeypatch.setattr(gen, "groups", lambda support: groups[::-1])
+    assert np.array_equal(integrate._run_rk4(rho0, gen, cfg).states, forward)
 
 
 def _block_labels(gen) -> np.ndarray:
@@ -680,7 +785,7 @@ def test_a_long_recording_interval_runs_in_bounded_memory():
 
 
 def test_a_long_recording_interval_runs_in_bounded_memory_single():
-    # the single partition takes 3264-step chunks; the same bound holds
+    # the single partition's groups run 4351 and 9791 steps at a time; the same bound holds
     cfg = IntegratorConfig(step=0.001, t_end=20.0, record_every=20_000)
     rho0 = _uniform3()
     tracemalloc.start()
