@@ -26,8 +26,9 @@ fixed number of steps, so a smaller group takes longer runs and memory
 stays bounded either way. The rates are evaluated once per outer range
 of steps, held to the same budget and shared by every group. Every step
 map is real, so a group carries its part of vec(rho) as real and
-imaginary columns. Blocks of 5x5 and up are multiplied in time-major
-memory; 1x1 blocks advance a whole run in one cumulative product.
+imaginary columns. Every block stack is (time, R, m, m), time first and
+matrices last, so each m x m matrix is contiguous for `@`; 1x1 blocks
+advance a whole run in one cumulative product.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -234,16 +235,8 @@ class _BlockGroup:
         self.shape = (len(reps), m, m)
 
     def generators(self, w: np.ndarray) -> np.ndarray:
-        """(R, m, m, T) representatives' blocks of L(t) for the (T, C) weight rows `w`; time last.
-
-        Blocks above `_BROADCAST_MAX` come back as a view of time-major
-        memory, so every m x m matrix is contiguous for `_mul`'s
-        np.matmul; the step matrices and products computed from them keep
-        that memory order.
-        """
-        if self.shape[1] > _BROADCAST_MAX:
-            return (w @ self.cols.T).reshape(len(w), *self.shape).transpose(1, 2, 3, 0)
-        return (self.cols @ w.T).reshape(*self.shape, len(w))
+        """(T, R, m, m) representatives' blocks of L(t) for the (T, C) weight rows `w`."""
+        return (w @ self.cols.T).reshape(len(w), *self.shape)
 
 
 class _Generator:
@@ -357,50 +350,29 @@ def _pair_generator(p_a: JcmParams, p_b: JcmParams) -> _Generator:
     return _Generator(h, channels)
 
 
-# Largest block whose products `_mul` sums by broadcasting; bigger blocks
-# go through np.matmul on contiguous matrices, which wins from 5x5 up on
-# this kind of stack.
-_BROADCAST_MAX = 4
-
-
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix products over axes 1 and 2 of (K, m, m, ...) stacks, batched over the rest.
-
-    Small blocks sum over j by broadcasting, which keeps the long batch
-    axes innermost; np.matmul's per-matrix loop would dominate there.
-    Larger ones are multiplied by np.matmul on a view with the matrix axes
-    last, which is contiguous when the stack's memory is time-major
-    (`_BlockGroup.generators`); the product keeps that memory order.
-    """
-    if a.shape[2] > _BROADCAST_MAX:
-        lead = (0, *range(3, a.ndim), 1, 2)
-        back = (0, a.ndim - 2, a.ndim - 1, *range(1, a.ndim - 2))
-        return (a.transpose(lead) @ b.transpose(lead)).transpose(back)
-    out = a[:, :, 0, None] * b[:, None, 0]
-    term = np.empty_like(out)
-    for j in range(1, a.shape[2]):
-        out += np.multiply(a[:, :, j, None], b[:, None, j], out=term)
-    return out
+    """Matrix products over the last two axes of (..., m, m) stacks; elementwise for 1x1 blocks."""
+    return a * b if a.shape[-1] == 1 else a @ b
 
 
 def _plus_identity(a: np.ndarray) -> np.ndarray:
-    """a + I on axes 1 and 2 of a (K, m, m, ...) stack, in place."""
-    diag = np.arange(a.shape[1])
-    a[:, diag, diag] += 1.0
+    """a + I on the last two axes of a (..., m, m) stack, in place."""
+    diag = np.arange(a.shape[-1])
+    a[..., diag, diag] += 1.0
     return a
 
 
 def _step_matrices(l_ends: np.ndarray, l_mids: np.ndarray, h: float) -> np.ndarray:
-    """(K, m, m, S) classical RK4 step matrices of S consecutive steps.
+    """(S, R, m, m) classical RK4 step matrices of S consecutive steps.
 
-    `l_ends` (K, m, m, S + 1) holds L at the steps' ends kh and `l_mids`
-    (K, m, m, S) at their midpoints (k + 1/2)h; time is the last axis. With
-    A = L(kh), B = L((k + 1/2)h) and C = L((k + 1)h), the stages k1..k4 of
+    `l_ends` (S + 1, R, m, m) holds L at the steps' ends kh and `l_mids`
+    (S, R, m, m) at their midpoints (k + 1/2)h. With A = L(kh),
+    B = L((k + 1/2)h) and C = L((k + 1)h), the stages k1..k4 of
     v' = v + h/6 (k1 + 2 k2 + 2 k3 + k4) are A v, B P1 v, B P2 v and C P3 v
     for P1 = I + (h/2) A, P2 = I + (h/2) B P1 and P3 = I + h B P2, so
     v' = M v with M = I + (h/6)(A + 2 B P1 + 2 B P2 + C P3).
     """
-    a, b, c = l_ends[..., :-1], l_mids, l_ends[..., 1:]
+    a, b, c = l_ends[:-1], l_mids, l_ends[1:]
     bp = _mul(b, _plus_identity((0.5 * h) * a))  # B P1
     total = a + 2.0 * bp
     bp *= 0.5 * h
@@ -413,18 +385,17 @@ def _step_matrices(l_ends: np.ndarray, l_mids: np.ndarray, h: float) -> np.ndarr
 
 
 def _product(steps: np.ndarray) -> np.ndarray:
-    """(K, m, m, q) products M_{L-1} ... M_0 of the step matrices along the last axis of (K, m, m, q, L).
+    """(q, R, m, m) products M_{L-1} ... M_0 of the step matrices along axis 1 of (q, L, R, m, m).
 
     Neighbours are multiplied pairwise, so there are about log2(L)
     batched products rather than L - 1.
     """
-    while steps.shape[-1] > 1:
-        paired = _mul(steps[..., 1::2], steps[..., 0:-1:2])
-        if steps.shape[-1] % 2:  # the latest step waits for the next round
-            out = np.empty_like(steps[..., : paired.shape[-1] + 1])  # in the stack's memory order
-            paired = np.concatenate([paired, steps[..., -1:]], axis=-1, out=out)
+    while steps.shape[1] > 1:
+        paired = _mul(steps[:, 1::2], steps[:, 0:-1:2])
+        if steps.shape[1] % 2:  # the latest step waits for the next round
+            paired = np.concatenate([paired, steps[:, -1:]], axis=1)
         steps = paired
-    return steps[..., 0]
+    return steps[:, 0]
 
 
 def _chunks(n: int, every: int, size: int):
@@ -486,7 +457,7 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajec
             for start, count, length in _chunks(q * span, span, sizes[k]):
                 rates = w[2 * start : 2 * (start + count * length) + 1]
                 steps = _step_matrices(g.generators(rates[0::2]), g.generators(rates[1::2]), h)
-                maps = _product(steps.reshape(*g.shape, count, length)).transpose(3, 0, 1, 2)[:, g.rep]
+                maps = _product(steps.reshape(count, length, *g.shape))[:, g.rep]
                 part = parts[k]
                 if g.shape[1] == 1:  # v, r0 v, r1 r0 v, ... in one call
                     seq = np.concatenate([part[None], np.broadcast_to(maps, (count, *part.shape))])

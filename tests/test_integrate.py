@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from djcm import integrate
+from djcm import integrate, scenarios
 from djcm.evolution import propagate_pair, propagate_pairs
 from djcm.integrate import (
     IntegratorConfig,
@@ -409,8 +409,9 @@ def test_no_step_matrix_input_or_rate_block_holds_more_than_the_budget(monkeypat
     step_matrices, weights = integrate._step_matrices, gen.weights
 
     def recorded_steps(l_ends, l_mids, h):
-        assert l_ends.shape[-1] == l_mids.shape[-1] + 1
-        inputs.setdefault(l_mids.shape[:3], []).append(l_mids.shape[-1])
+        # (time, R, m, m) stacks
+        assert l_ends.shape[0] == l_mids.shape[0] + 1
+        inputs.setdefault(l_mids.shape[1:], []).append(l_mids.shape[0])
         assert max(l_ends.size, l_mids.size) <= budget
         return step_matrices(l_ends, l_mids, h)
 
@@ -708,6 +709,28 @@ def test_the_ground_state_reaches_only_itself_and_stays_fixed():
     assert [g.idx.tolist() for g in groups] == [[[gg]]]
     traj = integrate_pair(ground, P, P_MEMORY, oracle_config(3.0, 31, P, P_MEMORY))
     assert np.array_equal(traj.states, np.broadcast_to(ground, traj.states.shape))
+
+
+@pytest.mark.parametrize("r", [1.0, 0.5])
+@pytest.mark.parametrize("case", ["fig2a", "distinct"])
+def test_the_validate_probe_leaves_every_physical_coordinate_bit_identical(case, r):
+    # the probe's coherences change the excitation number between row and
+    # column, the physical state's never do, and no op links the two kinds
+    if case == "fig2a":
+        cfg = preset_config("fig2a")
+        p_a, p_b = cfg.params_a, cfg.params_b
+        plan = oracle_config(cfg.t_max, cfg.samples, p_a, p_b)
+    else:
+        p_a, p_b = _distinct_pair_case()[:2]
+        plan = oracle_config(30.0, 301, p_a, p_b)
+    probe = scenarios._PROBE
+    rho0 = initial_state(r)
+    assert not (rho0[probe != 0]).any()
+    plain = integrate_pair(rho0, p_a, p_b, plan).states
+    probed = integrate_pair(rho0 + probe, p_a, p_b, plan).states
+    assert np.array_equal(probed[:, probe == 0], plain[:, probe == 0])
+    # and the probe's entries are carried, not left at 0
+    assert (probed[-1][probe != 0] != 0).all()
 
 
 def test_fig2a_integrates_one_5x5_block_and_twelve_scalars():

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import djcm
-from djcm import integrate, scenarios
+from djcm import evolution, integrate, scenarios
 from djcm.cli import main
 from djcm.entanglement import (
     STEADY_PURITY_THRESHOLD,
@@ -300,7 +300,7 @@ def test_evolve_and_write_peak_memory_stays_near_the_table(tmp_path):
 def test_validation_report_clean_run():
     report = validation_report(_small_cfg(samples=31), preset=None)
     assert report["preset"] is None
-    assert report["max_dev_single"] < 1e-6
+    assert "max_dev_single" not in report
     assert report["max_dev_pair"] < 1e-6
     assert report["max_dev_rate_minus"] < 1e-8
     assert report["max_dev_rate_plus"] < 1e-8
@@ -315,21 +315,21 @@ def test_validation_report_clean_run():
     }
 
 
-@pytest.mark.parametrize("oracle", ["integrate_single", "integrate_pair"])
-def test_validation_report_fails_on_a_nan_deviation(monkeypatch, oracle):
+@pytest.mark.parametrize("entry", [(0, 1), (2, 8)], ids=["physical", "probe"])
+def test_validation_report_fails_on_a_nan_deviation(monkeypatch, entry):
     # a NaN coherence keeps the trace, so only the deviation gate can catch it
-    integrate = getattr(scenarios, oracle)
+    assert (scenarios._PROBE[entry] != 0) == (entry == (2, 8))
+    integrate_pair = scenarios.integrate_pair
 
     def poisoned(*args):
-        traj = integrate(*args)
+        traj = integrate_pair(*args)
         states = traj.states.copy()
-        states[-1, 0, 1] = math.nan
+        states[(-1, *entry)] = math.nan
         return dataclasses.replace(traj, states=states)
 
-    monkeypatch.setattr(scenarios, oracle, poisoned)
+    monkeypatch.setattr(scenarios, "integrate_pair", poisoned)
     report = validation_report(_small_cfg(), preset=None)
-    key = "max_dev_single" if oracle == "integrate_single" else "max_dev_pair"
-    assert math.isnan(report[key])
+    assert math.isnan(report["max_dev_pair"])
     assert report["pass_oracle"] is False
     assert report["passed"] is False
 
@@ -766,7 +766,6 @@ def test_cli_validate_refuses_an_oversized_rk4_plan(monkeypatch, tmp_path, capsy
     def never(*args):
         raise AssertionError("the oracle must not run")
 
-    monkeypatch.setattr(scenarios, "integrate_single", never)
     monkeypatch.setattr(scenarios, "integrate_pair", never)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(
@@ -787,7 +786,6 @@ def test_cli_validate_refuses_more_samples_than_the_state_budget(monkeypatch, tm
     def never(*args):
         raise AssertionError("the oracle must not run")
 
-    monkeypatch.setattr(scenarios, "integrate_single", never)
     monkeypatch.setattr(scenarios, "integrate_pair", never)
     for name in PRESET_NAMES:
         with pytest.raises(AssertionError, match="the oracle must not run"):
@@ -943,7 +941,9 @@ def test_cli_validate_with_config(tmp_path, capsys):
 def test_cli_validate_is_blind_to_omega0(tmp_path, capsys):
     # omega0 only turns coherences between excitation sectors by exact
     # phases; an oracle that resolved them by RK4 steps bounded by omega
-    # and lam read max_dev_single 1.6e-4 at omega0 = 100 and failed
+    # and lam was off by 1.6e-4 at omega0 = 100 and failed. The probe's
+    # coherences turn at omega0 +- omega, and their deviations stay those
+    # of omega0 = 0.
     devs = []
     for omega0 in (0.0, 10.0, 100.0, 1000.0):
         cfg_path = tmp_path / f"omega0_{omega0:g}.json"
@@ -956,8 +956,26 @@ def test_cli_validate_is_blind_to_omega0(tmp_path, capsys):
         assert main(["validate", "--config", str(cfg_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
-        devs.append((report["max_dev_single"], report["max_dev_pair"]))
+        devs.append(report["max_dev_pair"])
     assert devs == [devs[0]] * 4, devs
+
+
+def test_validate_fails_when_the_closed_form_turns_coherences_at_a_wrong_omega0(monkeypatch):
+    # the physical state holds no coherence between excitation sectors
+    # and does not depend on omega0; only the probe's coherences turn at
+    # omega0 +- omega, so only they expose a closed form off by 1 in omega0
+    transfer_tensor = evolution.transfer_tensor
+
+    def shifted(p, t):
+        return transfer_tensor(dataclasses.replace(p, omega0=p.omega0 + 1.0), t)
+
+    monkeypatch.setattr(evolution, "transfer_tensor", shifted)
+    report = validation_report(preset_config("fig2a"), "fig2a")
+    assert 0.3 < report["max_dev_pair"] < 0.5
+    assert report["pass_oracle"] is False
+    assert report["passed"] is False
+    # the physical state, and so its positivity, does not depend on omega0
+    assert report["pass_positivity"] is True
 
 
 def test_cli_exits_141_when_the_reader_closes_the_pipe(tmp_path):
