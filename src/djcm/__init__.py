@@ -19,7 +19,6 @@ from .entanglement import (
 from .evolution import propagate_pair, propagate_pairs
 from .integrate import (
     IntegratorConfig,
-    Trajectory,
     integrate_pair,
     integrate_single,
     rate_from_spectral_density,
@@ -31,7 +30,6 @@ from .propagator import (
     decay_rate_plus,
     integrated_rate_minus,
     integrated_rate_plus,
-    propagate_single,
 )
 from .scenarios import (
     ScenarioConfig,
@@ -51,7 +49,6 @@ __all__ = [
     "decay_rate_plus",
     "integrated_rate_minus",
     "integrated_rate_plus",
-    "propagate_single",
     "propagate_pair",
     "propagate_pairs",
     "initial_state",
@@ -66,7 +63,6 @@ __all__ = [
     "steady_concurrence_nonlocal",
     "STEADY_PURITY_THRESHOLD",
     "IntegratorConfig",
-    "Trajectory",
     "integrate_single",
     "integrate_pair",
     "rate_from_spectral_density",

@@ -24,11 +24,14 @@ blocks advances on its own: its step matrices exist a run at a time,
 and a run holds a fixed budget of representative entries rather than a
 fixed number of steps, so a smaller group takes longer runs and memory
 stays bounded either way. The rates are evaluated once per outer range
-of steps, held to the same budget and shared by every group. Every step
-map is real, so a group carries its part of vec(rho) as real and
-imaginary columns. Every block stack is (time, R, m, m), time first and
-matrices last, so each m x m matrix is contiguous for `@`; 1x1 blocks
-advance a whole run in one cumulative product.
+of steps, held to the same budget and shared by every group, and the
+states recorded in a range are yielded as one (times, states) piece
+when it ends, so a caller compares them as they arrive and nothing
+holds the whole run. Every step map is real, so a group carries its
+part of vec(rho) as real and imaginary columns. Every block stack is
+(time, R, m, m), time first and matrices last, so each m x m matrix is
+contiguous for `@`; 1x1 blocks advance a whole run in one cumulative
+product.
 `rate_from_spectral_density` recovers the decay rates themselves by
 numerical quadrature of the reservoir correlation function, so the
 closed-form rate expressions get an independent check as well. A whole
@@ -46,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +60,6 @@ from .propagator import JcmParams, decay_rate_minus, decay_rate_plus
 __all__ = [
     "IntegratorConfig",
     "MAX_RK4_STEPS",
-    "Trajectory",
     "max_step",
     "oracle_config",
     "integrate_single",
@@ -64,6 +67,9 @@ __all__ = [
     "rate_from_spectral_density",
     "gauss_legendre",
 ]
+
+# What `_run_rk4` yields: (times, states) pieces of the recorded run.
+_Pieces = Iterator[tuple[np.ndarray, np.ndarray]]
 
 _STEP_FRACTION = 1.0 / 50.0  # of the fastest timescale present
 
@@ -118,17 +124,6 @@ class IntegratorConfig:
                 f"step {self.step} does not divide t_end {self.t_end} evenly"
             )
         return n
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded states of one integration run."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), d, d)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def max_step(*params: JcmParams) -> float:
@@ -420,37 +415,57 @@ def _chunk_steps(entries: int, rows: int = 1) -> int:
     return max(1, (_CHUNK_ENTRIES // entries - 1) // rows)
 
 
-def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajectory:
+def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> _Pieces:
     """Classical RK4 on vec(rho) in the frame of h, one real step matrix per step and invariant block.
 
-    Only the coordinates `rho0`'s nonzero entries reach are integrated
-    (`_Generator.groups`); every other coordinate of every recorded state
-    is exactly 0. The rates come from the half-step grid j*h/2, one call
-    per channel over an outer range of steps whose 2S + 1 rate rows fit
-    the entry budget (`_chunk_steps`). Every block group then advances
-    on its own over that range, in runs of as many steps as its
-    representatives' S + 1 step-matrix rows fit the same budget: it
-    forms a run's step matrices, the products over each stretch of steps
-    that ends at or before the next recording point (`_chunks`), gathers
-    those per block and applies them to its part of vec(rho) in order.
-    The maps are real, so each part is carried as real (K, m, 2) columns,
-    the real and imaginary parts of a complex `rho0` alike: 1x1 blocks
-    advance a run by one cumulative product, larger ones by one
-    np.matmul per stretch. Recorded values go into `states` through its
-    float view; at the end each recorded coordinate of nonzero Bohr
-    frequency takes its exact phase e^{-i freq t}.
+    Yields the recorded states as (times, states) pieces: t = 0 first,
+    then the recording points of each outer range of steps that holds
+    one. Only the coordinates `rho0`'s nonzero entries reach are
+    integrated (`_Generator.groups`); every other coordinate of every
+    recorded state is exactly 0. The rates come from the half-step grid
+    j*h/2, one call per channel over an outer range of steps whose 2S + 1
+    rate rows fit the entry budget (`_chunk_steps`). Every block group
+    then advances on its own over that range, in runs of as many steps
+    as its representatives' S + 1 step-matrix rows fit the same budget:
+    it forms a run's step matrices, the products over each stretch of
+    steps that ends at or before the next recording point (`_chunks`),
+    gathers those per block and applies them to its part of vec(rho) in
+    order. The maps are real, so each part is carried as real (K, m, 2)
+    columns, the real and imaginary parts of a complex `rho0` alike: 1x1
+    blocks advance a run by one cumulative product, larger ones by one
+    np.matmul per stretch. Recorded values go into the range's piece
+    through its float view; before a piece is yielded each recorded
+    coordinate of nonzero Bohr frequency takes its exact phase
+    e^{-i freq t} and its trace drift is checked. A piece holds at most
+    one row per step of its range, so memory stays bounded however many
+    states the plan records.
     """
     n = cfg.n_steps()
     every = cfg.record_every
     h = cfg.step
     d = rho0.shape[0]
     groups = gen.groups(rho0.reshape(-1) != 0)
-    states = np.zeros((n // every + 1, d, d), dtype=complex)
-    states[0] = rho0
-    columns = states.view(float).reshape(len(states), -1, 2)  # (re, im) of each coordinate
-    parts = [columns[0, g.idx] for g in groups]
+    coords = np.concatenate([g.idx.reshape(-1) for g in groups])
+    turning = coords[gen.freq[coords] != 0.0]
+
+    def recorded(row: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The piece whose first state is recording point `row`, phased and checked."""
+        times = np.arange(row, row + len(states)) * every * h
+        flat = states.reshape(len(states), -1)
+        flat[:, turning] *= np.exp(-1j * np.multiply.outer(times, gen.freq[turning]))
+        drift = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max())
+        if not (drift <= 1e-8):
+            raise RuntimeError(f"integration lost trace (drift {drift:.3e})")
+        return times, states
+
+    initial = rho0[None].astype(complex)
+    parts = [initial.view(float).reshape(-1, 2)[g.idx] for g in groups]  # (re, im) of each coordinate
+    yield recorded(0, initial)
     sizes = [_chunk_steps(math.prod(g.shape)) for g in groups]
     for first, q, span in _chunks(n, every, _chunk_steps(len(gen.channels), 2)):
+        base = first // every + 1  # the first recording point after `first`
+        states = np.zeros(((first + q * span) // every + 1 - base, d, d), dtype=complex)
+        columns = states.view(float).reshape(len(states), d * d, 2)
         w = gen.weights(np.arange(2 * first, 2 * (first + q * span) + 1) * (0.5 * h))
         for k, g in enumerate(groups):
             # the group's runs over the range: `count` stretches of `length` steps from `start`
@@ -468,18 +483,11 @@ def _run_rk4(rho0: np.ndarray, gen: _Generator, cfg: IntegratorConfig) -> Trajec
                         part = np.matmul(maps[j], part, out=after[j])
                 parts[k] = after[-1]
                 ends = first + start + length * np.arange(1, count + 1)
-                recorded = ends % every == 0
-                rows = after[recorded].reshape(-1, g.idx.size, 2)
-                columns[ends[recorded, None] // every, g.idx.reshape(-1)] = rows
-    flat = states.reshape(len(states), -1)
-    times = np.arange(len(states)) * every * h
-    coords = np.concatenate([g.idx.reshape(-1) for g in groups])
-    turning = coords[gen.freq[coords] != 0.0]
-    flat[:, turning] *= np.exp(-1j * np.multiply.outer(times, gen.freq[turning]))
-    drift = float(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max())
-    if not (drift <= 1e-8):
-        raise RuntimeError(f"integration lost trace (drift {drift:.3e})")
-    return Trajectory(times=times, states=states)
+                kept = ends % every == 0
+                rows = after[kept].reshape(-1, g.idx.size, 2)
+                columns[ends[kept, None] // every - base, g.idx.reshape(-1)] = rows
+        if len(states):
+            yield recorded(base, states)
 
 
 def _check_plan(cfg: IntegratorConfig, *params: JcmParams) -> None:
@@ -496,8 +504,8 @@ def _check_plan(cfg: IntegratorConfig, *params: JcmParams) -> None:
         )
 
 
-def integrate_single(rho0: np.ndarray, p: JcmParams, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 trajectory of one partition's 3x3 dressed-basis state."""
+def integrate_single(rho0: np.ndarray, p: JcmParams, cfg: IntegratorConfig) -> _Pieces:
+    """RK4 pieces (`_run_rk4`) of one partition's 3x3 dressed-basis state; inputs checked at the call."""
     rho0 = validate_density_matrix(rho0, 3, name="rho0")
     _check_plan(cfg, p)
     return _run_rk4(rho0, _single_generator(p), cfg)
@@ -505,8 +513,8 @@ def integrate_single(rho0: np.ndarray, p: JcmParams, cfg: IntegratorConfig) -> T
 
 def integrate_pair(
     rho0: np.ndarray, p_a: JcmParams, p_b: JcmParams, cfg: IntegratorConfig
-) -> Trajectory:
-    """RK4 trajectory of the joint 9x9 dressed-basis state."""
+) -> _Pieces:
+    """RK4 pieces (`_run_rk4`) of the joint 9x9 dressed-basis state; inputs checked at the call."""
     rho0 = validate_density_matrix(rho0, 9, name="rho0")
     _check_plan(cfg, p_a, p_b)
     return _run_rk4(rho0, _pair_generator(p_a, p_b), cfg)

@@ -24,12 +24,11 @@ explicit entry-wise function of the two accumulated exponents
     I_plus(t) = integral of rate_plus,   I_minus(t) = integral of rate_minus.
 
 `coefficients` evaluates the weights c_k(t) of that entry-wise map over
-11 fixed matrix units (`PATTERNS`), `transfer_tensor` contracts the two
-into the map itself, and
-`propagate_single` applies it to a 3x3 dressed-basis state. The pair map
-in `evolution` is the tensor product of two such maps. Each of these
-takes one time or a numpy array of times; an array adds a leading axis
-to the result, so a whole time grid is evaluated in one call.
+11 fixed matrix units (`PATTERNS`), and `transfer_tensor` contracts the
+two into the map itself. The pair map in `evolution` is the tensor
+product of two such maps. Each of these takes one time or a numpy array
+of times; an array adds a leading axis to the result, so a whole time
+grid is evaluated in one call.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import validate_density_matrix
-
 __all__ = [
     "JcmParams",
     "decay_rate_minus",
@@ -51,7 +48,6 @@ __all__ = [
     "PATTERNS",
     "coefficients",
     "transfer_tensor",
-    "propagate_single",
 ]
 
 
@@ -226,9 +222,13 @@ def coefficients(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
 
     a11 = np.exp(-0.5 * ip)
     a22 = np.exp(-0.5 * im)
+    # The free phase e^{-i omega0 t} is a factor of its own: a pair state
+    # meets it times its conjugate, which is 1 to rounding, whereas a phase
+    # of (omega0 +- omega) t would round omega's share away at large omega0.
+    free = phase(p.omega0)
     a12 = phase(2.0 * p.omega) * np.exp(-0.25 * (ip + im))
-    a13 = phase(p.omega0 + p.omega) * np.exp(-0.25 * ip)
-    a23 = phase(p.omega0 - p.omega) * np.exp(-0.25 * im)
+    a13 = free * phase(p.omega) * np.exp(-0.25 * ip)
+    a23 = free * phase(-p.omega) * np.exp(-0.25 * im)
     coherences = (a12, a13, a23)
     return np.stack(
         [a11, a22, *coherences, *np.conj(coherences), 1.0 - a11, 1.0 - a22, np.ones_like(a11)],
@@ -245,11 +245,3 @@ def transfer_tensor(p: JcmParams, t: float | np.ndarray) -> np.ndarray:
     c = coefficients(p, t)
     return (c @ PATTERNS.reshape(len(PATTERNS), 81)).reshape(c.shape[:-1] + (3, 3, 3, 3))
 
-
-def propagate_single(rho0: np.ndarray, p: JcmParams, t: float | np.ndarray) -> np.ndarray:
-    """Propagate a 3x3 dressed-basis state from 0 to t in closed form.
-
-    For an array of T times the result is the (T,3,3) stack of states.
-    """
-    rho0 = validate_density_matrix(rho0, 3, name="rho0")
-    return np.einsum("...ijkl,kl->...ij", transfer_tensor(p, t), rho0)

@@ -67,11 +67,6 @@ CSV_HEADER = ",".join(_column_names(TARGET_ORDER))
 # 56 MB with all six.
 MAX_SAMPLES = 10**6
 
-# Most bytes of RK4 states `validation_report` may record: the oracle
-# keeps one complex 9x9 state per sample, 1296 bytes, so this admits up
-# to 51,781 samples (a preset's 1501 take 1.9 MB).
-_ORACLE_BYTES = 64 * 2**20
-
 # Most steps of the purity grid `transient_entanglement_threshold` scans.
 _MAX_PURITIES = 10**6
 
@@ -315,28 +310,22 @@ def validation_report(cfg: ScenarioConfig, preset: str | None = None) -> dict:
     all six pairs at up to 101 evenly spaced grid times. It is reported,
     not gated.
 
-    Raises ValueError, before anything is integrated, for a plan beyond
-    MAX_RK4_STEPS or for more samples than the RK4 states' byte budget
-    holds.
+    The RK4 states arrive in pieces (`integrate_pair`), and each piece is
+    compared with the closed form as it arrives, so memory stays bounded
+    however many samples the config holds. Raises ValueError, before
+    anything is integrated, for a plan beyond MAX_RK4_STEPS.
     """
-    per_sample = 81 * np.dtype(complex).itemsize
-    if cfg.samples * per_sample > _ORACLE_BYTES:
-        raise ValueError(
-            f"samples {cfg.samples} would record {cfg.samples * per_sample / 2**20:.0f} MiB of "
-            f"RK4 oracle states, more than the budget of {_ORACLE_BYTES // 2**20} MiB; validate "
-            f"at most {_ORACLE_BYTES // per_sample} samples"
-        )
     pair0 = initial_state(cfg.purity)
     probed0 = pair0 + _PROBE
     cfg_pair = oracle_config(cfg.t_max, cfg.samples, cfg.params_a, cfg.params_b)
-    traj_pair = integrate_pair(probed0, cfg.params_a, cfg.params_b, cfg_pair)
     # np.maximum/np.minimum, unlike max()/min(), carry a NaN through to the gates
     dev_pair = 0.0
     min_eig = math.inf
-    for rows in _chunks(len(traj_pair)):
-        exact = propagate_pairs(probed0, cfg.params_a, cfg.params_b, traj_pair.times[rows])
-        dev_pair = np.maximum(dev_pair, np.abs(traj_pair.states[rows] - exact).max())
-        min_eig = np.minimum(min_eig, min_eigenvalue(np.where(_PROBE != 0, 0.0, exact)).min())
+    for piece_times, states in integrate_pair(probed0, cfg.params_a, cfg.params_b, cfg_pair):
+        for rows in _chunks(len(piece_times)):
+            exact = propagate_pairs(probed0, cfg.params_a, cfg.params_b, piece_times[rows])
+            dev_pair = np.maximum(dev_pair, np.abs(states[rows] - exact).max())
+            min_eig = np.minimum(min_eig, min_eigenvalue(np.where(_PROBE != 0, 0.0, exact)).min())
 
     # decay rates from the reservoir correlation function
     param_sets = [cfg.params_a]

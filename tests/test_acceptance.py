@@ -79,6 +79,7 @@ from djcm.scenarios import (
     transient_entanglement_threshold,
 )
 from djcm.states import ReductionTarget, initial_state, reduce_all
+from helpers import joined
 
 RATE_GRID_PARAMS = (
     JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0),
@@ -139,12 +140,12 @@ def test_criterion_01_closed_form_matches_rk4_on_all_presets():
         cfg = preset_config(name)
         r0 = initial_state(cfg.purity)
         icfg = oracle_config(cfg.t_max, cfg.samples, cfg.params_a, cfg.params_b)
-        traj = integrate_pair(r0, cfg.params_a, cfg.params_b, icfg)
         dev = 0.0
-        for start in range(0, len(traj), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            exact = propagate_pairs(r0, cfg.params_a, cfg.params_b, traj.times[rows])
-            dev = max(dev, float(np.abs(traj.states[rows] - exact).max()))
+        for times, states in integrate_pair(r0, cfg.params_a, cfg.params_b, icfg):
+            for start in range(0, len(times), CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                exact = propagate_pairs(r0, cfg.params_a, cfg.params_b, times[rows])
+                dev = max(dev, float(np.abs(states[rows] - exact).max()))
         worst_by_preset[name] = dev
     elapsed = time.perf_counter() - started
     worst = max(worst_by_preset.values())
@@ -444,8 +445,8 @@ def test_criterion_11_property_bundle():
     errs = []
     for step in (0.004, 0.002):
         cfg = IntegratorConfig(step=step, t_end=2.0, record_every=int(round(2.0 / step)))
-        traj = integrate_pair(r0, p, p, cfg)
-        errs.append(float(np.abs(traj.states[-1] - propagate_pair(r0, p, p, 2.0)).max()))
+        _, states = joined(integrate_pair(r0, p, p, cfg))
+        errs.append(float(np.abs(states[-1] - propagate_pair(r0, p, p, 2.0)).max()))
     ratio = errs[0] / errs[1]
     if not 12.0 < ratio < 20.0:
         failures.append(f"RK4 convergence ratio {ratio:.1f} outside [12,20]")

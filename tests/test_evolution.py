@@ -3,7 +3,7 @@
 The load-bearing test feeds the pair map every product of nine 3x3
 density matrices that span the 3x3 operators. By linearity those 81
 inputs fix the whole 9x9 map, so agreeing with the Kronecker product of
-two independent `propagate_single` calls on each of them proves the map
+two independent single-partition maps (`transfer_tensor`) on each of them proves the map
 is the tensor product of the two single-partition maps.
 """
 
@@ -17,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from djcm import evolution
 from djcm.cli import main
 from djcm.evolution import min_eigenvalue, propagate_pair, propagate_pairs, x_entry_chunks
-from djcm.propagator import JcmParams, propagate_single
+from djcm.propagator import JcmParams
 from djcm.states import initial_state
+from helpers import closed_form_single
 
 P_MARKOV = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
 P_MEMORY = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=0.05)
@@ -54,8 +55,8 @@ def test_pair_map_is_tensor_product_on_spanning_set():
             for sigma_b in states:
                 got = propagate_pair(np.kron(sigma_a, sigma_b), p_a, p_b, t)
                 expected = np.kron(
-                    propagate_single(sigma_a, p_a, t),
-                    propagate_single(sigma_b, p_b, t),
+                    closed_form_single(sigma_a, p_a, t),
+                    closed_form_single(sigma_b, p_b, t),
                 )
                 assert np.abs(got - expected).max() < 1e-14
 
@@ -141,7 +142,7 @@ def test_product_states_factorize(p_a, p_b, t):
     rho_a = _random_state(rng, 3)
     rho_b = _random_state(rng, 3)
     joint = propagate_pair(np.kron(rho_a, rho_b), p_a, p_b, t)
-    split = np.kron(propagate_single(rho_a, p_a, t), propagate_single(rho_b, p_b, t))
+    split = np.kron(closed_form_single(rho_a, p_a, t), closed_form_single(rho_b, p_b, t))
     assert np.abs(joint - split).max() < 1e-14
 
 

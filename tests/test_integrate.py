@@ -33,10 +33,10 @@ from djcm.propagator import (
     JcmParams,
     decay_rate_minus,
     decay_rate_plus,
-    propagate_single,
 )
 from djcm.scenarios import PRESET_NAMES, preset_config
 from djcm.states import initial_state
+from helpers import closed_form_single, joined
 
 P = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
 P_MEMORY = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=0.05)
@@ -265,14 +265,34 @@ def test_rate_chunks_do_not_change_the_trajectory(monkeypatch):
     rho0 = initial_state(0.7)
     entries = _entries(integrate._pair_generator(P, P_MEMORY).groups(_support(rho0)))
     monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", cfg.n_steps() * entries)  # one chunk
-    whole = integrate_pair(rho0, P, P_MEMORY, cfg)
+    whole_times, whole = joined(integrate_pair(rho0, P, P_MEMORY, cfg))
     # 7 steps, which divides neither n nor record_every
     monkeypatch.setattr(integrate, "_CHUNK_ENTRIES", 7 * entries)
-    chunked = integrate_pair(rho0, P, P_MEMORY, cfg)
-    assert np.array_equal(chunked.times, whole.times)
+    times, chunked = joined(integrate_pair(rho0, P, P_MEMORY, cfg))
+    assert np.array_equal(times, whole_times)
     assert len(chunked) == 11
-    assert np.array_equal(chunked.states[0], rho0)
-    assert np.abs(chunked.states - whole.states).max() < 1e-15
+    assert np.array_equal(chunked[0], rho0)
+    assert np.abs(chunked - whole).max() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "cfg, lengths",
+    [
+        (oracle_config(15.0, 1501, P, P), [1, 1223, 277]),
+        (IntegratorConfig(step=0.001, t_end=20.0, record_every=20_000), [1, 1]),
+    ],
+    ids=["fig2a", "long interval"],
+)
+def test_the_run_yields_t0_then_each_outer_range_that_records(cfg, lengths):
+    # fig2a's pair records every 8 steps, and an outer range of 9791 steps
+    # takes 1223 whole intervals; a 20,000-step interval spans three outer
+    # ranges, and only the last of them ends on a recording point
+    assert integrate._chunk_steps(len(integrate._pair_generator(P, P).channels), 2) == 9791
+    pieces = list(integrate_pair(initial_state(1.0), P, P, cfg))
+    assert [len(times) for times, _ in pieces] == lengths
+    assert [len(states) for _, states in pieces] == lengths
+    times = np.concatenate([t for t, _ in pieces])
+    assert np.array_equal(times, np.arange(len(times)) * cfg.record_every * cfg.step)
 
 
 def _steps(groups) -> list[int]:
@@ -324,11 +344,11 @@ def test_a_150_step_recording_interval_runs_whole(monkeypatch, oracle):
     calls = _recording_chunks(monkeypatch)
     if oracle == "pair":
         rho0 = initial_state(1.0)
-        integrate_pair(rho0, P_STIFF, P_STIFF, cfg)
+        joined(integrate_pair(rho0, P_STIFF, P_STIFF, cfg))
         gen = integrate._pair_generator(P_STIFF, P_STIFF)
     else:
         rho0 = _uniform3()
-        integrate_single(rho0, P_STIFF, cfg)
+        joined(integrate_single(rho0, P_STIFF, cfg))
         gen = integrate._single_generator(P_STIFF)
     # one outer range holds all fifteen intervals' rates
     (_, outer), *inner = calls
@@ -367,10 +387,10 @@ def test_a_128_step_budget_gives_the_same_states_on_fig2a(monkeypatch):
         return states, calls[1][0]  # calls[0] cuts the rates' outer ranges
 
     def pair(budget):
-        return run(budget, lambda: integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg).states)
+        return run(budget, lambda: joined(integrate_pair(rho0, cfg.params_a, cfg.params_b, pair_cfg))[1])
 
     def single(budget):
-        return run(budget, lambda: integrate_single(single0, cfg.params_a, single_cfg).states)
+        return run(budget, lambda: joined(integrate_single(single0, cfg.params_a, single_cfg))[1])
 
     budget = integrate._CHUNK_ENTRIES
     pair_states, pair_steps = pair(budget)
@@ -423,7 +443,7 @@ def test_no_step_matrix_input_or_rate_block_holds_more_than_the_budget(monkeypat
 
     monkeypatch.setattr(integrate, "_step_matrices", recorded_steps)
     monkeypatch.setattr(gen, "weights", recorded_weights)
-    integrate._run_rk4(rho0, gen, cfg)
+    joined(integrate._run_rk4(rho0, gen, cfg))
     groups = gen.groups(_support(rho0))
     assert sorted(inputs) == sorted(g.shape for g in groups)
     assert len(groups) == 3 and len(rates) == 2
@@ -451,7 +471,7 @@ def test_the_rates_are_evaluated_once_per_outer_range_per_channel(monkeypatch, c
     # the generator calls the rate function of each of its channels: swap
     # in counting ones, same ops
     gen.channels = tuple((p, counted(rate)) for p, rate in gen.channels)
-    integrate._run_rk4(rho0, gen, cfg)
+    joined(integrate._run_rk4(rho0, gen, cfg))
     outer = integrate._chunk_steps(len(gen.channels), 2)
     ranges = len(list(integrate._chunks(cfg.n_steps(), cfg.record_every, outer)))
     assert ranges == 2
@@ -463,10 +483,10 @@ def test_the_rates_are_evaluated_once_per_outer_range_per_channel(monkeypatch, c
 @pytest.mark.parametrize("case", [_fig2a_half_pure_case, _distinct_full_case], ids=["fig2a r=0.5", "distinct full"])
 def test_the_group_order_changes_no_bit(monkeypatch, case):
     gen, rho0, cfg = case()
-    forward = integrate._run_rk4(rho0, gen, cfg).states
+    forward = joined(integrate._run_rk4(rho0, gen, cfg))[1]
     groups = gen.groups(_support(rho0))
     monkeypatch.setattr(gen, "groups", lambda support: groups[::-1])
-    assert np.array_equal(integrate._run_rk4(rho0, gen, cfg).states, forward)
+    assert np.array_equal(joined(integrate._run_rk4(rho0, gen, cfg))[1], forward)
 
 
 def _block_labels(gen) -> np.ndarray:
@@ -578,7 +598,7 @@ def test_step_matrices_match_stagewise_rk4_on_a_distinct_pair():
     p_a, p_b, rho0, cfg = _distinct_pair_case()
     h_op, jumps, rates = _pair_channels(p_a, p_b)
     expected = _interaction_frame_rk4(rho0, h_op.diagonal(), jumps, rates, cfg)
-    got = integrate_pair(rho0, p_a, p_b, cfg).states
+    got = joined(integrate_pair(rho0, p_a, p_b, cfg))[1]
     assert np.abs(got - expected).max() < 1e-13
 
 
@@ -588,9 +608,9 @@ def test_the_interaction_frame_lands_closer_to_the_closed_form_than_a_lab_frame_
     p_a, p_b, rho0, cfg = _distinct_pair_case()
     h_op, jumps, rates = _pair_channels(p_a, p_b)
     lab = _stagewise_rk4(rho0, h_op, jumps, rates, cfg)
-    traj = integrate_pair(rho0, p_a, p_b, cfg)
-    exact = propagate_pairs(rho0, p_a, p_b, traj.times)
-    assert np.abs(traj.states - exact).max() < np.abs(lab - exact).max()
+    times, states = joined(integrate_pair(rho0, p_a, p_b, cfg))
+    exact = propagate_pairs(rho0, p_a, p_b, times)
+    assert np.abs(states - exact).max() < np.abs(lab - exact).max()
 
 
 def test_shared_step_matrices_match_stagewise_rk4_on_a_non_hermitian_vector():
@@ -608,7 +628,7 @@ def test_shared_step_matrices_match_stagewise_rk4_on_a_non_hermitian_vector():
         gen = integrate._pair_generator(p_a, p_b)
         assert any(g.shape[0] < len(g.idx) for g in gen.groups(_support(rho0)))
         assert len(gen.ops) == ops
-        got = integrate._run_rk4(rho0, gen, cfg).states
+        got = joined(integrate._run_rk4(rho0, gen, cfg))[1]
         assert np.abs(got - expected).max() < 1e-13
 
 
@@ -641,8 +661,8 @@ def test_merged_channels_give_the_states_of_four_on_fig2a():
     pair_cfg = oracle_config(cfg.t_max, cfg.samples, p, p)
     rho0 = initial_state(cfg.purity)
     assert np.array_equal(
-        integrate._run_rk4(rho0, merged, pair_cfg).states,
-        integrate._run_rk4(rho0, unmerged, pair_cfg).states,
+        joined(integrate._run_rk4(rho0, merged, pair_cfg))[1],
+        joined(integrate._run_rk4(rho0, unmerged, pair_cfg))[1],
     )
 
 
@@ -663,8 +683,8 @@ def test_a_reached_run_gives_the_states_of_a_run_over_every_coordinate(monkeypat
     full = _over_every_coordinate(monkeypatch, integrate._pair_generator(p_a, p_b))
     for r in (0.0, 0.5, 1.0):
         rho0 = initial_state(r)
-        reached = integrate._run_rk4(rho0, integrate._pair_generator(p_a, p_b), pair_cfg)
-        assert np.array_equal(reached.states, integrate._run_rk4(rho0, full, pair_cfg).states)
+        reached = joined(integrate._run_rk4(rho0, integrate._pair_generator(p_a, p_b), pair_cfg))[1]
+        assert np.array_equal(reached, joined(integrate._run_rk4(rho0, full, pair_cfg))[1])
     # the uniform single state reaches all 9 coordinates: the same groups
     single0 = _uniform3()
     single_cfg = oracle_config(cfg.t_max / 10.0, 151, p_a)
@@ -674,8 +694,8 @@ def test_a_reached_run_gives_the_states_of_a_run_over_every_coordinate(monkeypat
     ]
     full = _over_every_coordinate(monkeypatch, integrate._single_generator(p_a))
     assert np.array_equal(
-        integrate._run_rk4(single0, gen, single_cfg).states,
-        integrate._run_rk4(single0, full, single_cfg).states,
+        joined(integrate._run_rk4(single0, gen, single_cfg))[1],
+        joined(integrate._run_rk4(single0, full, single_cfg))[1],
     )
 
 
@@ -692,8 +712,8 @@ def test_the_reached_set_is_closed_and_everything_outside_it_stays_zero(r):
     assert reached.sum() < gen.dim
     # no op entry maps a reached coordinate outside the set
     assert not gen.ops[:, ~reached][:, :, reached].any()
-    traj = integrate_pair(rho0, P_MEMORY, p_b, oracle_config(3.0, 31, P_MEMORY, p_b))
-    outside = traj.states.reshape(len(traj), -1)[:, ~reached]
+    _, states = joined(integrate_pair(rho0, P_MEMORY, p_b, oracle_config(3.0, 31, P_MEMORY, p_b)))
+    outside = states.reshape(len(states), -1)[:, ~reached]
     assert (outside == 0).all()
 
 
@@ -707,8 +727,8 @@ def test_the_ground_state_reaches_only_itself_and_stays_fixed():
     assert gen.feeds[gg].sum() > 1
     groups = gen.groups(_support(ground))
     assert [g.idx.tolist() for g in groups] == [[[gg]]]
-    traj = integrate_pair(ground, P, P_MEMORY, oracle_config(3.0, 31, P, P_MEMORY))
-    assert np.array_equal(traj.states, np.broadcast_to(ground, traj.states.shape))
+    _, states = joined(integrate_pair(ground, P, P_MEMORY, oracle_config(3.0, 31, P, P_MEMORY)))
+    assert np.array_equal(states, np.broadcast_to(ground, states.shape))
 
 
 @pytest.mark.parametrize("r", [1.0, 0.5])
@@ -726,8 +746,8 @@ def test_the_validate_probe_leaves_every_physical_coordinate_bit_identical(case,
     probe = scenarios._PROBE
     rho0 = initial_state(r)
     assert not (rho0[probe != 0]).any()
-    plain = integrate_pair(rho0, p_a, p_b, plan).states
-    probed = integrate_pair(rho0 + probe, p_a, p_b, plan).states
+    plain = joined(integrate_pair(rho0, p_a, p_b, plan))[1]
+    probed = joined(integrate_pair(rho0 + probe, p_a, p_b, plan))[1]
     assert np.array_equal(probed[:, probe == 0], plain[:, probe == 0])
     # and the probe's entries are carried, not left at 0
     assert (probed[-1][probe != 0] != 0).all()
@@ -751,7 +771,7 @@ def test_step_matrices_match_stagewise_rk4_while_the_upper_rate_is_negative():
     jumps, rates = _partition_channels(P_MEMORY, lambda m: m)
     rho0 = _uniform3()
     expected = _interaction_frame_rk4(rho0, _dressed_h(P_MEMORY).diagonal(), jumps, rates, cfg)
-    got = integrate_single(rho0, P_MEMORY, cfg).states
+    got = joined(integrate_single(rho0, P_MEMORY, cfg))[1]
     assert np.abs(got - expected).max() < 1e-13
 
 
@@ -763,7 +783,7 @@ def test_step_matrices_match_stagewise_rk4_on_a_dense_generator():
     rho0 = _uniform3()
     rates = [lambda t: decay_rate_plus(P, t), lambda t: decay_rate_minus(P, t)]
     expected = _stagewise_rk4(rho0, np.zeros((3, 3)), _dense_jumps(), rates, cfg)
-    got = integrate._run_rk4(rho0, gen, cfg).states
+    got = joined(integrate._run_rk4(rho0, gen, cfg))[1]
     assert np.abs(got - expected).max() < 1e-13
 
 
@@ -798,12 +818,12 @@ def test_a_long_recording_interval_runs_in_bounded_memory():
     rho0 = initial_state(1.0)
     tracemalloc.start()
     try:
-        traj = integrate_pair(rho0, P, P, cfg)
+        _, states = joined(integrate_pair(rho0, P, P, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj) == 2
-    assert np.abs(traj.states[-1] - propagate_pair(rho0, P, P, 20.0)).max() < 1e-6
+    assert len(states) == 2
+    assert np.abs(states[-1] - propagate_pair(rho0, P, P, 20.0)).max() < 1e-6
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -813,12 +833,12 @@ def test_a_long_recording_interval_runs_in_bounded_memory_single():
     rho0 = _uniform3()
     tracemalloc.start()
     try:
-        traj = integrate_single(rho0, P, cfg)
+        _, states = joined(integrate_single(rho0, P, cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj) == 2
-    assert np.abs(traj.states[-1] - propagate_single(rho0, P, 20.0)).max() < 1e-6
+    assert len(states) == 2
+    assert np.abs(states[-1] - closed_form_single(rho0, P, 20.0)).max() < 1e-6
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
@@ -832,18 +852,20 @@ def _nan_after_one(rate):
 def test_nan_rates_fail_the_trace_guard(monkeypatch):
     monkeypatch.setattr(integrate, "decay_rate_plus", _nan_after_one(decay_rate_plus))
     cfg = oracle_config(3.0, 31, P)
-    with pytest.raises(RuntimeError, match="lost trace"):
-        integrate_single(_uniform3(), P, cfg)
-    with pytest.raises(RuntimeError, match="lost trace"):
-        integrate_pair(initial_state(1.0), P, P, cfg)
+    # the guard runs on each piece as it is yielded
+    for pieces in (integrate_single(_uniform3(), P, cfg), integrate_pair(initial_state(1.0), P, P, cfg)):
+        times, states = next(pieces)
+        assert times.tolist() == [0.0]
+        with pytest.raises(RuntimeError, match="lost trace"):
+            next(pieces)
 
 
 def test_ground_state_is_fixed_point():
     ground = np.zeros((3, 3), dtype=complex)
     ground[2, 2] = 1.0
     cfg = IntegratorConfig(step=0.002, t_end=1.0, record_every=100)
-    traj = integrate_single(ground, P, cfg)
-    assert np.abs(traj.states - ground).max() < 1e-14
+    _, states = joined(integrate_single(ground, P, cfg))
+    assert np.abs(states - ground).max() < 1e-14
 
 
 def test_vanishing_coupling_reduces_to_free_rotation():
@@ -851,21 +873,19 @@ def test_vanishing_coupling_reduces_to_free_rotation():
     p = JcmParams(omega0=0.0, omega=1.0, gamma0=1e-12, lam=5.0)
     rho0 = _uniform3()
     cfg = IntegratorConfig(step=0.002, t_end=2.0, record_every=1000)
-    traj = integrate_single(rho0, p, cfg)
-    final = traj.states[-1]
+    final = joined(integrate_single(rho0, p, cfg))[1][-1]
     assert np.abs(final.diagonal() - rho0.diagonal()).max() < 1e-9
     # coherence between the dressed branches rotates at 2 omega
     expected = rho0[0, 1] * np.exp(-2j * p.omega * 2.0)
     assert abs(final[0, 1] - expected) < 1e-9
 
 
-def test_rk4_matches_closed_form_single():
+def test_rk4_matchesclosed_form_single():
     rho0 = _uniform3()
     cfg = oracle_config(15.0, 151, P)
-    traj = integrate_single(rho0, P, cfg)
     worst = 0.0
-    for t, state in zip(traj.times, traj.states):
-        exact = propagate_single(rho0, P, float(t))
+    for t, state in zip(*joined(integrate_single(rho0, P, cfg))):
+        exact = closed_form_single(rho0, P, float(t))
         worst = max(worst, float(np.abs(state - exact).max()))
     assert worst < 1e-6
 
@@ -876,9 +896,9 @@ def test_rk4_is_fourth_order():
     errors = []
     for step in (0.004, 0.002):
         cfg = IntegratorConfig(step=step, t_end=2.0, record_every=int(round(2.0 / step)))
-        traj = integrate_pair(rho0, P, P, cfg)
+        _, states = joined(integrate_pair(rho0, P, P, cfg))
         exact = propagate_pair(rho0, P, P, 2.0)
-        errors.append(float(np.abs(traj.states[-1] - exact).max()))
+        errors.append(float(np.abs(states[-1] - exact).max()))
     ratio = errors[0] / errors[1]
     assert 12.0 < ratio < 20.0, f"convergence ratio {ratio:.2f} not fourth order"
 
@@ -892,20 +912,20 @@ def test_pair_integration_factorizes_for_product_states():
     rho_b = b @ b.conj().T
     rho_b /= rho_b.trace()
     cfg = oracle_config(3.0, 31, P, P_MEMORY)
-    joint = integrate_pair(np.kron(rho_a, rho_b), P, P_MEMORY, cfg)
-    left = integrate_single(rho_a, P, cfg)
-    right = integrate_single(rho_b, P_MEMORY, cfg)
-    for js, ls, rs in zip(joint.states, left.states, right.states):
+    joint = joined(integrate_pair(np.kron(rho_a, rho_b), P, P_MEMORY, cfg))[1]
+    left = joined(integrate_single(rho_a, P, cfg))[1]
+    right = joined(integrate_single(rho_b, P_MEMORY, cfg))[1]
+    for js, ls, rs in zip(joint, left, right):
         assert np.abs(js - np.kron(ls, rs)).max() < 1e-8
 
 
 def test_trajectory_bookkeeping():
     cfg = oracle_config(2.0, 21, P)
-    traj = integrate_single(_uniform3(), P, cfg)
-    assert len(traj) == 21
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(2.0)
-    assert np.abs(np.diff(traj.times) - 0.1).max() < 1e-12
+    times, states = joined(integrate_single(_uniform3(), P, cfg))
+    assert len(times) == len(states) == 21
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(2.0)
+    assert np.abs(np.diff(times) - 0.1).max() < 1e-12
 
 
 def test_gauss_legendre_polynomial_exactness():

@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from djcm.evolution import propagate_pairs
 from djcm.propagator import (
     JcmParams,
     coefficients,
@@ -21,10 +22,10 @@ from djcm.propagator import (
     decay_rate_plus,
     integrated_rate_minus,
     integrated_rate_plus,
-    propagate_single,
     transfer_tensor,
 )
 from djcm.scenarios import PRESET_NAMES, preset_config, time_grid
+from helpers import closed_form_single
 
 MARKOV = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=5.0)
 NONMARKOV = JcmParams(omega0=0.0, omega=1.0, gamma0=1.0, lam=0.05)
@@ -113,10 +114,10 @@ def test_time_arrays_match_scalar_calls():
     assert np.shape(coefficients(MARKOV, 1.0)[A12]) == ()
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
     rho[0, 2] = rho[2, 0] = 0.1
-    stack = propagate_single(rho, NONMARKOV, ts[1])
+    stack = closed_form_single(rho, NONMARKOV, ts[1])
     assert stack.shape == (5, 3, 3)
     for k, t in enumerate(ts[1]):
-        assert np.abs(stack[k] - propagate_single(rho, NONMARKOV, float(t))).max() < 1e-15
+        assert np.abs(stack[k] - closed_form_single(rho, NONMARKOV, float(t))).max() < 1e-15
 
 
 @pytest.mark.parametrize("as_array", [False, True])
@@ -250,41 +251,43 @@ def test_long_time_coefficients_vanish():
     assert abs(c[A12]) < 1e-12
 
 
-def test_propagate_single_identity_and_fixed_point():
+def test_single_map_identity_and_fixed_point():
     rng = np.random.default_rng(21)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = a @ a.conj().T
     rho /= rho.trace()
-    assert np.abs(propagate_single(rho, MARKOV, 0.0) - rho).max() < 1e-14
+    assert np.abs(closed_form_single(rho, MARKOV, 0.0) - rho).max() < 1e-14
 
     ground = np.zeros((3, 3), dtype=complex)
     ground[2, 2] = 1.0
     for t in (0.5, 3.0, 40.0):
-        assert np.abs(propagate_single(ground, MARKOV, t) - ground).max() == 0.0
+        assert np.abs(closed_form_single(ground, MARKOV, t) - ground).max() == 0.0
 
 
-def test_propagate_single_everything_decays_to_ground():
+def test_single_map_everything_decays_to_ground():
     v = np.full(3, 1.0 / math.sqrt(3.0), dtype=complex)
     rho = np.outer(v, v.conj())
-    out = propagate_single(rho, MARKOV, 300.0)
+    out = closed_form_single(rho, MARKOV, 300.0)
     ground = np.zeros((3, 3), dtype=complex)
     ground[2, 2] = 1.0
     assert np.abs(out - ground).max() < 1e-12
 
 
-def test_propagate_single_keeps_state_valid():
+def test_single_map_keeps_state_valid():
     v = np.array([0.6, 0.0, 0.8], dtype=complex)
     rho = np.outer(v, v.conj())
     for p in REGIMES:
         for t in np.linspace(0.0, 10.0, 11):
-            out = propagate_single(rho, p, float(t))
+            out = closed_form_single(rho, p, float(t))
             assert abs(out.trace() - 1.0) < 1e-13
             assert np.abs(out - out.conj().T).max() < 1e-13
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
 
-def test_propagate_single_rejects_bad_input():
+def test_single_map_rejects_bad_input():
+    # one partition's state, partition B held at |0g>, through the checked pair route
+    ground = np.diag([0.0, 0.0, 1.0]).astype(complex)
     with pytest.raises(ValueError):
-        propagate_single(np.eye(3), MARKOV, 1.0)  # trace 3
+        propagate_pairs(np.kron(np.eye(3), ground), MARKOV, MARKOV, [1.0])  # trace 3
     with pytest.raises(ValueError):
-        propagate_single(np.eye(3) / 3.0, MARKOV, -1.0)
+        propagate_pairs(np.kron(np.eye(3) / 3.0, ground), MARKOV, MARKOV, [-1.0])
